@@ -13,6 +13,7 @@
 //   PMU counter reads            103.09 us    8.27E-6
 //   CPU-global flush instr.       90.20 us    3.87E-6
 #include <iostream>
+#include <iterator>
 
 #include "cluster/des_cluster.h"
 #include "common/table.h"
@@ -38,17 +39,19 @@ noise::NoiseStats measure(const noise::Countermeasures& cm, Seed seed,
   auto cfg = linuxk::make_fugaku_linux_config(platform, cm);
   cfg.profile = noise::strip_population_tails(cfg.profile);
 
-  // A real shared-clock cluster, like the in-house 16-node system: FWQ
-  // starts simultaneously on every application core of every node.
+  // A real cluster, like the in-house 16-node system: FWQ starts
+  // simultaneously on every application core of every node, and the
+  // nodes' independent simulators run concurrently on the host pool.
   cluster::DesCluster cluster(nodes, platform, cfg,
                               cluster::DesCluster::Options{.seed = seed});
   noise::FwqConfig fwq;
   fwq.work_quantum = SimTime::from_ms(6.5);
   fwq.iterations = iterations;
-  const auto per_node = cluster.run_fwq_all(fwq);
+  auto per_node = cluster.run_fwq_all(fwq);
   std::vector<noise::FwqTrace> flat;
-  for (const auto& traces : per_node) {
-    flat.insert(flat.end(), traces.begin(), traces.end());
+  for (auto& traces : per_node) {
+    flat.insert(flat.end(), std::make_move_iterator(traces.begin()),
+                std::make_move_iterator(traces.end()));
   }
   return noise::compute_noise_stats(flat);
 }

@@ -1,6 +1,7 @@
 #include "cluster/des_cluster.h"
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace hpcos::cluster {
 
@@ -17,6 +18,11 @@ DesCluster::DesCluster(int num_nodes, const hw::PlatformConfig& platform,
   build(num_nodes, platform, linux_config, &lwk_config, options);
 }
 
+Seed DesCluster::node_seed(Seed base, int index) {
+  return Seed{base.value +
+              0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(index + 1)};
+}
+
 void DesCluster::build(int num_nodes, const hw::PlatformConfig& platform,
                        const linuxk::LinuxConfig& linux_config,
                        const mck::McKernelConfig* lwk_config,
@@ -25,11 +31,8 @@ void DesCluster::build(int num_nodes, const hw::PlatformConfig& platform,
   nodes_.reserve(static_cast<std::size_t>(num_nodes));
   for (int n = 0; n < num_nodes; ++n) {
     SimNodeOptions node_opts;
-    node_opts.seed =
-        Seed{options.seed.value + 0x9E3779B97F4A7C15ull *
-                                      static_cast<std::uint64_t>(n + 1)};
+    node_opts.seed = node_seed(options.seed, n);
     node_opts.trace_capacity = options.trace_capacity;
-    node_opts.shared_simulator = &sim_;
     if (options.multikernel || lwk_config != nullptr) {
       nodes_.push_back(SimNode::make_multikernel_node(
           platform, linux_config,
@@ -43,51 +46,26 @@ void DesCluster::build(int num_nodes, const hw::PlatformConfig& platform,
   }
 }
 
+sim::Simulator& DesCluster::simulator() {
+  std::vector<const sim::Simulator*> parts;
+  parts.reserve(nodes_.size());
+  for (const auto& node : nodes_) parts.push_back(&node->simulator());
+  aggregate_.aggregate(parts);
+  return aggregate_;
+}
+
 std::vector<std::vector<noise::FwqTrace>> DesCluster::run_fwq_all(
     noise::FwqConfig config) {
-  // Spawn all FWQ threads first (they begin at the same simulated time on
-  // every node, like the MPI-launched FWQ), then drive the shared clock
-  // until every thread everywhere has finished.
-  struct PerNode {
-    std::vector<const noise::FwqThread*> bodies;
-  };
-  std::vector<PerNode> spawned(nodes_.size());
-
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    os::NodeKernel& kernel = nodes_[n]->app_kernel();
-    for (hw::CoreId core :
-         nodes_[n]->topology().application_cores().to_vector()) {
-      auto body = std::make_unique<noise::FwqThread>(config);
-      spawned[n].bodies.push_back(body.get());
-      os::SpawnAttrs attrs;
-      attrs.name = "fwq-" + std::to_string(n) + "-" + std::to_string(core);
-      attrs.affinity = hw::CpuSet::of(
-          static_cast<std::size_t>(nodes_[n]->topology().logical_cores()),
-          {core});
-      kernel.spawn(std::move(body), std::move(attrs));
-    }
-  }
-
-  auto all_done = [&] {
-    for (const auto& pn : spawned) {
-      for (const noise::FwqThread* b : pn.bodies) {
-        if (!b->finished()) return false;
-      }
-    }
-    return true;
-  };
-  while (!all_done()) {
-    const bool progressed = sim_.step();
-    HPCOS_CHECK_MSG(progressed,
-                    "cluster FWQ deadlock: event queue drained early");
-  }
-
+  // FWQ starts at the same simulated instant on every node of a fresh
+  // cluster, like the MPI-launched FWQ; nodes share nothing, so each runs
+  // to completion as one host task.
   std::vector<std::vector<noise::FwqTrace>> out(nodes_.size());
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    for (const noise::FwqThread* b : spawned[n].bodies) {
-      out[n].push_back(b->trace());
-    }
-  }
+  parallel_for(nodes_.size(), [&](std::size_t n) {
+    SimNode& node = *nodes_[n];
+    out[n] = noise::run_fwq(node.app_kernel(),
+                            node.topology().application_cores(), config);
+  });
+  simulator();  // refresh the aggregate for callers holding a reference
   return out;
 }
 

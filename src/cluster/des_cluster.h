@@ -1,12 +1,15 @@
-// Multi-node DES cluster: several SimNodes on one shared clock.
+// Multi-node DES cluster: several SimNodes, each on its own simulator.
 //
 // §6.3: "we extended FWQ to run on an arbitrary number of nodes (using
 // MPI) and measure OS noise on all CPU cores simultaneously". This class
 // is that harness for the DES side: N fully-modeled nodes (Linux-only or
-// multi-kernel) advance in one simulator, FWQ runs on every application
-// core of every node at once, and per-node traces come back for the
-// aggregate statistics. Node seeds derive from a base seed, so each node's
-// noise is independent but the whole cluster run is reproducible.
+// multi-kernel) run FWQ on every application core at once, and per-node
+// traces come back for the aggregate statistics. Nodes never exchange
+// events, so each owns its event queue and clock and the nodes run
+// concurrently on the host pool; a node's event order, and so its traces,
+// are those of the same node simulated alone. Node seeds derive from a
+// base seed, so each node's noise is independent but the whole cluster
+// run is reproducible and independent of host thread count.
 #pragma once
 
 #include <memory>
@@ -32,11 +35,20 @@ class DesCluster {
              const linuxk::LinuxConfig& linux_config,
              const mck::McKernelConfig& lwk_config, Options options);
 
+  // Seed of node `index` in a cluster built with base seed `base`.
+  static Seed node_seed(Seed base, int index);
+
   int size() const { return static_cast<int>(nodes_.size()); }
-  sim::Simulator& simulator() { return sim_; }
+  // Read-only aggregate of the per-node simulators, refreshed on every
+  // call and after run_fwq_all(): events executed, queue telemetry and
+  // handler stats are node-ordered sums (max_depth is the per-node
+  // maximum) and now() is the latest node clock. Scheduling on it runs
+  // nothing; drive node(n).simulator() instead.
+  sim::Simulator& simulator();
   SimNode& node(int index) { return *nodes_.at(static_cast<std::size_t>(index)); }
 
-  // Run FWQ on every application core of every node simultaneously;
+  // Run FWQ on every application core of every node, one node per host
+  // task; each node stops at the event that finishes its last FWQ thread.
   // result[n] holds node n's per-core traces.
   std::vector<std::vector<noise::FwqTrace>> run_fwq_all(
       noise::FwqConfig config);
@@ -46,8 +58,8 @@ class DesCluster {
              const linuxk::LinuxConfig& linux_config,
              const mck::McKernelConfig* lwk_config, Options options);
 
-  sim::Simulator sim_;
   std::vector<std::unique_ptr<SimNode>> nodes_;
+  sim::Simulator aggregate_;
 };
 
 }  // namespace hpcos::cluster

@@ -4,11 +4,6 @@ namespace hpcos::cluster {
 
 SimNode::SimNode(hw::PlatformConfig platform, Options options)
     : platform_(std::move(platform)),
-      owned_sim_(options.shared_simulator == nullptr
-                     ? std::make_unique<sim::Simulator>()
-                     : nullptr),
-      sim_(options.shared_simulator != nullptr ? options.shared_simulator
-                                               : owned_sim_.get()),
       trace_(options.trace_capacity),
       observability_(options.observability),
       seed_(options.seed) {}
@@ -19,7 +14,7 @@ std::unique_ptr<SimNode> SimNode::make_linux_node(hw::PlatformConfig platform,
   auto node =
       std::unique_ptr<SimNode>(new SimNode(std::move(platform), options));
   node->linux_ = std::make_unique<linuxk::LinuxKernel>(
-      *node->sim_, node->platform_.topology,
+      node->sim_, node->platform_.topology,
       node->platform_.topology.all_cores(), std::move(config), node->seed_,
       node->trace_.enabled() ? &node->trace_ : nullptr, &node->bus_);
   if (node->observability_) node->linux_->set_registry(&node->registry_);
@@ -38,7 +33,7 @@ std::unique_ptr<SimNode> SimNode::make_multikernel_node(
 
   // Host Linux keeps the system cores.
   node->linux_ = std::make_unique<linuxk::LinuxKernel>(
-      *node->sim_, topo, topo.system_cores(), std::move(linux_config),
+      node->sim_, topo, topo.system_cores(), std::move(linux_config),
       node->seed_, trace, &node->bus_);
   node->linux_->boot();
 
@@ -47,7 +42,7 @@ std::unique_ptr<SimNode> SimNode::make_multikernel_node(
   const std::uint64_t host_mem = topo.total_memory_bytes();
   const std::uint64_t lwk_mem = host_mem - host_mem / 8;  // 7/8 to the LWK
   node->ihk_ = std::make_unique<ihk::IhkManager>(
-      *node->sim_, topo, topo.all_cores(), topo.system_cores(), host_mem);
+      node->sim_, topo, topo.all_cores(), topo.system_cores(), host_mem);
   HPCOS_CHECK(node->ihk_->partition().reserve_cpus(topo.application_cores()));
   HPCOS_CHECK(node->ihk_->partition().reserve_memory(lwk_mem));
   node->os_instance_ =
@@ -55,7 +50,7 @@ std::unique_ptr<SimNode> SimNode::make_multikernel_node(
   HPCOS_CHECK(node->os_instance_ >= 0);
 
   node->lwk_ = std::make_unique<mck::McKernel>(
-      *node->sim_, topo, topo.application_cores(), std::move(lwk_config),
+      node->sim_, topo, topo.application_cores(), std::move(lwk_config),
       Seed{node->seed_.value ^ 0x5A5Aull}, trace, &node->bus_);
   node->lwk_->boot();
   node->ihk_->boot(node->os_instance_);

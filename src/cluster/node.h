@@ -30,9 +30,6 @@ struct SimNodeOptions {
   // Wire every subsystem's counters into the node registry. Off by
   // default: instrumented hot paths then cost exactly one branch.
   bool observability = false;
-  // When set, the node attaches to this simulator instead of owning one
-  // (multi-node DES clusters share a clock; see des_cluster.h).
-  sim::Simulator* shared_simulator = nullptr;
 };
 
 class SimNode {
@@ -54,7 +51,7 @@ class SimNode {
   os::NodeKernel& app_kernel();
   bool is_multikernel() const { return lwk_ != nullptr; }
 
-  sim::Simulator& simulator() { return *sim_; }
+  sim::Simulator& simulator() { return sim_; }
   const hw::NodeTopology& topology() const { return platform_.topology; }
   const hw::PlatformConfig& platform() const { return platform_; }
   linuxk::LinuxKernel& linux() { return *linux_; }
@@ -71,8 +68,7 @@ class SimNode {
   explicit SimNode(hw::PlatformConfig platform, Options options);
 
   hw::PlatformConfig platform_;
-  std::unique_ptr<sim::Simulator> owned_sim_;
-  sim::Simulator* sim_;  // owned_sim_.get() or the shared simulator
+  sim::Simulator sim_;  // declared before the kernels, so it outlives them
   sim::TraceBuffer trace_;
   obs::Registry registry_;
   bool observability_ = false;

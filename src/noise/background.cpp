@@ -83,19 +83,19 @@ void BackgroundActivity::start_source(const NoiseSourceSpec& spec,
 
 void BackgroundActivity::arm_generator(const NoiseSourceSpec& spec,
                                        RngStream rng, hw::CoreId fixed_core) {
-  generator_rngs_.push_back(std::make_unique<RngStream>(rng));
-  RngStream* r = generator_rngs_.back().get();
-  // Self-rescheduling arrival process; the spec pointer stays valid because
-  // it aliases into profile_, which lives as long as this object.
-  const NoiseSourceSpec* s = &spec;
-  auto chain = std::make_shared<std::function<void()>>();
-  *chain = [this, s, r, fixed_core, chain] {
-    fire(*s, *r, fixed_core);
-    kernel_.simulator().schedule_after(r->exponential_time(s->mean_interval),
-                                       *chain, "noise.daemon");
-  };
-  kernel_.simulator().schedule_after(r->exponential_time(s->mean_interval),
-                                     *chain, "noise.daemon");
+  generators_.push_back(
+      std::make_unique<Generator>(Generator{this, &spec, rng, fixed_core}));
+  generators_.back()->arm();
+}
+
+void BackgroundActivity::Generator::arm() {
+  owner->kernel_.simulator().schedule_after(
+      rng.exponential_time(spec->mean_interval),
+      [this] {
+        owner->fire(*spec, rng, fixed_core);
+        arm();
+      },
+      "noise.daemon");
 }
 
 void BackgroundActivity::fire(const NoiseSourceSpec& spec,

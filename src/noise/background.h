@@ -8,6 +8,7 @@
 // uses, keeping node-DES and cluster-scale results consistent.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -50,6 +51,18 @@ class BackgroundActivity {
   std::size_t active_source_count() const { return active_sources_; }
 
  private:
+  // A self-rescheduling arrival process for one event-generating source.
+  // Generators live in generators_ (stable addresses, owned here), so
+  // each re-arm schedules a closure capturing one pointer: it fits
+  // std::function's inline buffer and holds no ownership.
+  struct Generator {
+    BackgroundActivity* owner;
+    const NoiseSourceSpec* spec;  // aliases into owner->profile_
+    RngStream rng;
+    hw::CoreId fixed_core;
+    void arm();  // schedule the next arrival
+  };
+
   void start_source(const NoiseSourceSpec& spec, std::uint64_t index);
   void arm_generator(const NoiseSourceSpec& spec, RngStream rng,
                      hw::CoreId fixed_core);
@@ -65,8 +78,7 @@ class BackgroundActivity {
   os::ChipStallBus* bus_;
   RngStream rng_;
   std::vector<hw::CoreId> target_list_;
-  // Generator RNGs must outlive the scheduled closures that reference them.
-  std::vector<std::unique_ptr<RngStream>> generator_rngs_;
+  std::vector<std::unique_ptr<Generator>> generators_;
   std::size_t active_sources_ = 0;
   bool started_ = false;
 };

@@ -31,7 +31,7 @@ void FwqThread::step(os::ThreadContext& ctx) {
 
 std::vector<FwqTrace> run_fwq(os::NodeKernel& kernel, const hw::CpuSet& cores,
                               FwqConfig config) {
-  std::vector<const FwqThread*> bodies;
+  std::vector<FwqThread*> bodies;
   const auto core_list = cores.to_vector();
   bodies.reserve(core_list.size());
 
@@ -47,22 +47,19 @@ std::vector<FwqTrace> run_fwq(os::NodeKernel& kernel, const hw::CpuSet& cores,
     kernel.spawn(std::move(body), std::move(attrs));
   }
 
-  // Drive the simulation until every FWQ thread has finished. The guard
-  // bounds runaway event loops (bodies that never progress).
-  auto all_done = [&] {
-    for (const FwqThread* b : bodies) {
-      if (!b->finished()) return false;
+  // Drive the simulation until every FWQ thread has finished. Finish
+  // flags only go from false to true, so waiting on each body in turn
+  // stops at the same event as rescanning all of them after every step.
+  for (const FwqThread* b : bodies) {
+    while (!b->finished()) {
+      const bool progressed = kernel.simulator().step();
+      HPCOS_CHECK_MSG(progressed, "FWQ deadlock: event queue drained early");
     }
-    return true;
-  };
-  while (!all_done()) {
-    const bool progressed = kernel.simulator().step();
-    HPCOS_CHECK_MSG(progressed, "FWQ deadlock: event queue drained early");
   }
 
   std::vector<FwqTrace> out;
   out.reserve(bodies.size());
-  for (const FwqThread* b : bodies) out.push_back(b->trace());
+  for (FwqThread* b : bodies) out.push_back(b->take_trace());
   return out;
 }
 

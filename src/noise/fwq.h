@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -38,6 +39,8 @@ class FwqThread final : public os::ThreadBody {
 
   bool finished() const { return finished_; }
   const FwqTrace& trace() const { return trace_; }
+  // Move the trace out (once, after finished()); trace() is empty after.
+  FwqTrace take_trace() { return std::move(trace_); }
 
  private:
   FwqConfig config_;
@@ -51,7 +54,7 @@ class FwqThread final : public os::ThreadBody {
 // Convenience driver: spawn one FWQ thread pinned to each core in `cores`
 // on `kernel`, run the simulation until all finish, and return the traces
 // (indexed like `cores`). The caller owns the simulator clock; this runs
-// it forward.
+// it forward, stopping at the event that finishes the last thread.
 std::vector<FwqTrace> run_fwq(os::NodeKernel& kernel,
                               const hw::CpuSet& cores, FwqConfig config);
 

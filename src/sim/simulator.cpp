@@ -15,15 +15,24 @@ constexpr const char* kDefaultTag = "event";
 EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
   HPCOS_CHECK_MSG(t >= now_, "event scheduled in the past");
   HPCOS_CHECK(fn != nullptr);
-  const std::uint64_t seq = next_seq_++;
-  heap_.push(HeapEntry{t, seq});
-  pending_.emplace(seq, Pending{std::move(fn), tag});
-  ++telemetry_.pushes;
-  if (pending_.size() > telemetry_.max_depth) {
-    telemetry_.max_depth = pending_.size();
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   }
-  if (depth_probe_) depth_probe_(now_, pending_.size());
-  return EventId{seq};
+  Slot& s = slots_[slot];
+  if (++s.gen == 0) s.gen = 1;  // keep 0 as the invalid-id marker
+  s.fn = std::move(fn);
+  s.tag = tag;
+  heap_.push(HeapEntry{t, next_seq_++, slot, s.gen});
+  ++live_;
+  ++telemetry_.pushes;
+  if (live_ > telemetry_.max_depth) telemetry_.max_depth = live_;
+  if (depth_probe_) depth_probe_(now_, live_);
+  return EventId{slot, s.gen};
 }
 
 EventId Simulator::schedule_after(SimTime dt, EventFn fn, const char* tag) {
@@ -32,8 +41,11 @@ EventId Simulator::schedule_after(SimTime dt, EventFn fn, const char* tag) {
 }
 
 bool Simulator::cancel(EventId id) {
-  if (!id.valid()) return false;
-  if (pending_.erase(id.seq) == 0) return false;
+  if (!id.valid() || id.slot >= slots_.size()) return false;
+  Slot& s = slots_[id.slot];
+  if (s.gen != id.gen || !s.fn) return false;  // fired, cancelled or reused
+  s.fn = nullptr;  // its heap entry is now a ghost
+  --live_;
   ++telemetry_.cancels;
   return true;
 }
@@ -54,18 +66,21 @@ Simulator::TagEntry& Simulator::tag_entry(const char* tag) {
   return tags_.back();
 }
 
-bool Simulator::pop_next(HeapEntry& out, Pending& ev) {
+bool Simulator::pop_next(HeapEntry& out, EventFn& fn, const char*& tag) {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.top();
     heap_.pop();
-    auto it = pending_.find(top.seq);
-    if (it == pending_.end()) {
+    Slot& s = slots_[top.slot];
+    HPCOS_CHECK_MSG(s.gen == top.gen, "queue slot reused while pending");
+    free_slots_.push_back(top.slot);
+    if (!s.fn) {
       ++telemetry_.skipped;  // cancelled; its ghost entry dies here
       continue;
     }
     out = top;
-    ev = std::move(it->second);
-    pending_.erase(it);
+    fn.swap(s.fn);  // leaves the slot empty, ready for reuse
+    tag = s.tag;
+    --live_;
     return true;
   }
   return false;
@@ -73,8 +88,9 @@ bool Simulator::pop_next(HeapEntry& out, Pending& ev) {
 
 bool Simulator::step() {
   HeapEntry e;
-  Pending ev;
-  if (!pop_next(e, ev)) return false;
+  EventFn fn;
+  const char* tag = nullptr;
+  if (!pop_next(e, fn, tag)) return false;
   now_ = e.time;
   ++executed_;
   ++telemetry_.pops;
@@ -85,22 +101,22 @@ bool Simulator::step() {
     obs::live::add_events(1);
     if ((executed_ & 0x1FF) == 0) {
       obs::live::note_sim_time_ns(now_.count_ns());
-      obs::live::note_des_depth(pending_.size());
+      obs::live::note_des_depth(live_);
     }
   }
   if (obs::prof::enabled()) {
     // Decompose the hot loop by handler kind: a profiler scope (so the
     // fire shows up in the hotspot table / flamegraph) plus the per-tag
     // host-time accumulator handler_stats() reports.
-    TagEntry& tag = tag_entry(ev.tag != nullptr ? ev.tag : kDefaultTag);
-    const obs::prof::ScopedTimer timer(tag.scope);
-    ev.fn();
-    ++tag.fired;
-    tag.host_ns += obs::prof::now_ns() - timer.start_ns();
+    TagEntry& entry = tag_entry(tag != nullptr ? tag : kDefaultTag);
+    const obs::prof::ScopedTimer timer(entry.scope);
+    fn();
+    ++entry.fired;
+    entry.host_ns += obs::prof::now_ns() - timer.start_ns();
   } else {
-    ev.fn();
+    fn();
   }
-  if (depth_probe_) depth_probe_(now_, pending_.size());
+  if (depth_probe_) depth_probe_(now_, live_);
   return true;
 }
 
@@ -109,8 +125,9 @@ std::size_t Simulator::run_until(SimTime t_end) {
   std::size_t n = 0;
   while (!heap_.empty()) {
     // Peek at the earliest live event without committing to it.
-    HeapEntry top = heap_.top();
-    if (pending_.find(top.seq) == pending_.end()) {
+    const HeapEntry& top = heap_.top();
+    if (!slots_[top.slot].fn) {
+      free_slots_.push_back(top.slot);
       heap_.pop();
       ++telemetry_.skipped;
       continue;
@@ -141,6 +158,29 @@ std::vector<HandlerStat> Simulator::handler_stats() const {
               return a.tag < b.tag;
             });
   return out;
+}
+
+void Simulator::aggregate(const std::vector<const Simulator*>& parts) {
+  HPCOS_CHECK_MSG(!has_pending(), "aggregate() needs an idle simulator");
+  now_ = SimTime::zero();
+  executed_ = 0;
+  telemetry_ = QueueTelemetry{};
+  tags_.clear();
+  for (const Simulator* part : parts) {
+    now_ = std::max(now_, part->now_);
+    executed_ += part->executed_;
+    const QueueTelemetry& q = part->telemetry_;
+    telemetry_.pushes += q.pushes;
+    telemetry_.pops += q.pops;
+    telemetry_.cancels += q.cancels;
+    telemetry_.skipped += q.skipped;
+    telemetry_.max_depth = std::max(telemetry_.max_depth, q.max_depth);
+    for (const TagEntry& t : part->tags_) {
+      TagEntry& mine = tag_entry(t.tag);
+      mine.fired += t.fired;
+      mine.host_ns += t.host_ns;
+    }
+  }
 }
 
 }  // namespace hpcos::sim

@@ -5,9 +5,19 @@
 // events. Determinism is guaranteed by a strict (time, sequence) total
 // order: two events at the same instant fire in scheduling order, so a run
 // is a pure function of (configuration, seed) regardless of host threading.
+// One simulator drives one node; a DesCluster gives every node its own
+// and steps them concurrently (nodes never exchange events).
 //
-// Self-observability (the instrumentation the calendar-queue rewrite will
-// be judged against — see EXPERIMENTS.md "Profiling the simulator"):
+// Queue layout: a binary heap of (time, seq, slot, gen) entries over a
+// slot vector holding the handlers, with a free list of slots. An EventId
+// is {slot, gen}: cancel() checks the generation and empties the slot,
+// leaving a ghost heap entry that is discarded (and its slot recycled)
+// when it reaches the top. A slot is therefore reused only after its one
+// heap entry has popped, so a stale id can never cancel a later event.
+// Steady-state scheduling allocates nothing in the queue itself; only a
+// handler closure too large for std::function's inline buffer does.
+//
+// Self-observability (see EXPERIMENTS.md "Profiling the simulator"):
 //   * queue_telemetry() — always-on push/pop/cancel/max-depth counters
 //     (plain single-writer increments; cost is in the noise).
 //   * set_depth_probe() — optional queue-depth hook invoked after every
@@ -26,7 +36,6 @@
 #include <functional>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -37,10 +46,12 @@ namespace hpcos::sim {
 
 using EventFn = std::function<void()>;
 
-// Handle for cancellation. Default-constructed ids are invalid.
+// Handle for cancellation: a queue slot plus the generation the slot had
+// when the event was scheduled. Default-constructed ids are invalid.
 struct EventId {
-  std::uint64_t seq = 0;
-  bool valid() const { return seq != 0; }
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
+  bool valid() const { return gen != 0; }
 };
 
 // Always-on event-queue counters (single-writer, no synchronization).
@@ -92,8 +103,8 @@ class Simulator {
   // against runaway self-scheduling models).
   std::size_t run_all(std::size_t max_events = SIZE_MAX);
 
-  bool has_pending() const { return !pending_.empty(); }
-  std::size_t pending_count() const { return pending_.size(); }
+  bool has_pending() const { return live_ != 0; }
+  std::size_t pending_count() const { return live_; }
   std::uint64_t events_executed() const { return executed_; }
 
   const QueueTelemetry& queue_telemetry() const { return telemetry_; }
@@ -107,19 +118,31 @@ class Simulator {
   // Empty unless events fired while obs::prof was enabled.
   std::vector<HandlerStat> handler_stats() const;
 
+  // Replace this simulator's clock and counters with the aggregate of
+  // independently run `parts`: events executed, queue telemetry and
+  // handler stats are summed in `parts` order, except max_depth (the
+  // maximum); now() becomes the latest part clock. Requires an idle
+  // simulator (nothing pending).
+  void aggregate(const std::vector<const Simulator*>& parts);
+
  private:
   struct HeapEntry {
     SimTime time;
     std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t gen;
     bool operator>(const HeapEntry& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
-  struct Pending {
+  // A handler waiting in the heap. `fn` is empty while the slot is free,
+  // after its event fired, or after it was cancelled.
+  struct Slot {
     EventFn fn;
     const char* tag = nullptr;
+    std::uint32_t gen = 0;  // bumped on every reuse; 0 is never handed out
   };
 
   // Per-tag accumulator; tags are interned by pointer identity first
@@ -133,8 +156,10 @@ class Simulator {
   };
   TagEntry& tag_entry(const char* tag);
 
-  // Pops the next live heap entry into `out`; skips cancelled ones.
-  bool pop_next(HeapEntry& out, Pending& ev);
+  // Pops the next live event, moving its handler into `fn`; discards
+  // cancelled entries. Every popped entry's slot goes back on the free
+  // list.
+  bool pop_next(HeapEntry& out, EventFn& fn, const char*& tag);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
@@ -142,7 +167,9 @@ class Simulator {
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       heap_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;  // scheduled, not yet fired or cancelled
   QueueTelemetry telemetry_;
   DepthProbe depth_probe_;
   std::vector<TagEntry> tags_;

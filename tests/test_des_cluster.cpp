@@ -1,10 +1,18 @@
-// Unit + integration tests: multi-node DES clusters (shared clock).
+// Unit + integration tests: multi-node DES clusters (one simulator per
+// node, nodes run concurrently).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "cluster/des_cluster.h"
 #include "kernel_test_util.h"
 #include "noise/metrics.h"
 #include "noise/profiles.h"
+#include "obs/prof/prof.h"
 
 namespace hpcos::cluster {
 namespace {
@@ -19,14 +27,106 @@ linuxk::LinuxConfig testbed_config(bool quiet) {
   return cfg;
 }
 
-TEST(DesCluster, NodesShareOneClock) {
+// Per-node bit-identity witness: node n of a cluster must produce exactly
+// the traces of a standalone SimNode built with the cluster's derived seed
+// for n and driven by noise::run_fwq. The cluster runs its nodes
+// concurrently on the host pool (TSan watches this via the parallel label).
+void expect_nodes_match_standalone(bool multikernel) {
   const auto platform = hw::make_fugaku_testbed_platform();
-  DesCluster cluster(3, platform, testbed_config(true),
-                     DesCluster::Options{});
-  EXPECT_EQ(cluster.size(), 3);
-  for (int n = 0; n < 3; ++n) {
-    EXPECT_EQ(&cluster.node(n).simulator(), &cluster.simulator());
-    EXPECT_FALSE(cluster.node(n).is_multikernel());
+  const auto linux_cfg = testbed_config(false);
+  const auto lwk_cfg = mck::McKernelConfig::defaults();
+  constexpr int kNodes = 3;
+  const Seed base{1234};
+  noise::FwqConfig fwq;
+  fwq.iterations = 300;
+
+  auto cluster =
+      multikernel
+          ? std::make_unique<DesCluster>(kNodes, platform, linux_cfg, lwk_cfg,
+                                         DesCluster::Options{.seed = base})
+          : std::make_unique<DesCluster>(kNodes, platform, linux_cfg,
+                                         DesCluster::Options{.seed = base});
+  const auto traces = cluster->run_fwq_all(fwq);
+  ASSERT_EQ(traces.size(), static_cast<std::size_t>(kNodes));
+
+  for (int n = 0; n < kNodes; ++n) {
+    const SimNodeOptions opts{.seed = DesCluster::node_seed(base, n)};
+    auto node = multikernel ? SimNode::make_multikernel_node(
+                                  platform, linux_cfg, lwk_cfg, opts)
+                            : SimNode::make_linux_node(platform, linux_cfg,
+                                                       opts);
+    EXPECT_EQ(cluster->node(n).is_multikernel(), multikernel);
+    const auto alone = noise::run_fwq(
+        node->app_kernel(), node->topology().application_cores(), fwq);
+    const auto& mine = traces[static_cast<std::size_t>(n)];
+    ASSERT_EQ(mine.size(), alone.size()) << "node " << n;
+    for (std::size_t c = 0; c < alone.size(); ++c) {
+      EXPECT_EQ(mine[c].core, alone[c].core);
+      EXPECT_EQ(mine[c].iteration_times, alone[c].iteration_times)
+          << "node " << n << " core " << mine[c].core;
+    }
+    // Each node stops at the event that finishes its own FWQ.
+    EXPECT_EQ(cluster->node(n).simulator().events_executed(),
+              node->simulator().events_executed());
+    EXPECT_EQ(cluster->node(n).simulator().now(), node->simulator().now());
+  }
+}
+
+TEST(DesCluster, PerNodeLinuxTracesMatchStandaloneNodes) {
+  expect_nodes_match_standalone(false);
+}
+
+TEST(DesCluster, PerNodeMultiKernelTracesMatchStandaloneNodes) {
+  expect_nodes_match_standalone(true);
+}
+
+TEST(DesCluster, PerNodeCountersSumToAggregateSimulator) {
+  const auto platform = hw::make_fugaku_testbed_platform();
+  DesCluster cluster(3, platform, testbed_config(false),
+                     DesCluster::Options{.seed = Seed{5}});
+  noise::FwqConfig fwq;
+  fwq.iterations = 200;
+  // Profile the run so every node has per-tag handler stats to sum.
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
+  cluster.run_fwq_all(fwq);
+  obs::prof::set_enabled(false);
+
+  std::uint64_t events = 0;
+  sim::QueueTelemetry sum;
+  SimTime latest = SimTime::zero();
+  std::map<std::string, std::pair<std::uint64_t, std::int64_t>> tags;
+  for (int n = 0; n < cluster.size(); ++n) {
+    const sim::Simulator& s = cluster.node(n).simulator();
+    events += s.events_executed();
+    const sim::QueueTelemetry& q = s.queue_telemetry();
+    sum.pushes += q.pushes;
+    sum.pops += q.pops;
+    sum.cancels += q.cancels;
+    sum.skipped += q.skipped;
+    sum.max_depth = std::max(sum.max_depth, q.max_depth);
+    latest = std::max(latest, s.now());
+    for (const sim::HandlerStat& h : s.handler_stats()) {
+      tags[h.tag].first += h.fired;
+      tags[h.tag].second += h.host_ns;
+    }
+  }
+  const sim::Simulator& agg = cluster.simulator();
+  EXPECT_GT(events, 0u);
+  EXPECT_EQ(agg.events_executed(), events);
+  EXPECT_EQ(agg.queue_telemetry().pushes, sum.pushes);
+  EXPECT_EQ(agg.queue_telemetry().pops, sum.pops);
+  EXPECT_EQ(agg.queue_telemetry().cancels, sum.cancels);
+  EXPECT_EQ(agg.queue_telemetry().skipped, sum.skipped);
+  EXPECT_EQ(agg.queue_telemetry().max_depth, sum.max_depth);
+  EXPECT_EQ(agg.now(), latest);
+  EXPECT_FALSE(agg.has_pending());
+  const auto agg_tags = agg.handler_stats();
+  ASSERT_EQ(agg_tags.size(), tags.size());
+  ASSERT_FALSE(agg_tags.empty());
+  for (const sim::HandlerStat& h : agg_tags) {
+    EXPECT_EQ(h.fired, tags[h.tag].first) << h.tag;
+    EXPECT_EQ(h.host_ns, tags[h.tag].second) << h.tag;
   }
 }
 
@@ -74,7 +174,7 @@ TEST(DesCluster, NodeNoiseIsIndependentButSeeded) {
 
 TEST(DesCluster, TlbiBroadcastStaysWithinItsNode) {
   // The inner-sharable domain is one chip: a storm on node 0 must not
-  // stall node 1's cores even though they share the simulator.
+  // stall node 1's cores.
   const auto platform = hw::make_fugaku_testbed_platform();
   DesCluster cluster(2, platform, testbed_config(true),
                      DesCluster::Options{});
@@ -94,14 +194,14 @@ TEST(DesCluster, TlbiBroadcastStaysWithinItsNode) {
         os::SpawnAttrs{.affinity = test::one_core(
                            cluster.node(n).topology(), 5)});
   }
-  cluster.simulator().run_until(1_ms);
+  cluster.node(0).simulator().run_until(1_ms);
   // 1000-flush broadcast storm initiated inside node 0's Linux.
   auto& linux0 = cluster.node(0).linux();
   const os::Pid pid = linux0.create_process(os::ProcessAttrs{});
   auto cfg_broadcast = linux0.config().tlb_flush;
   (void)cfg_broadcast;
   linux0.tlb_shootdown(linux0.process(pid), /*initiator=*/0, 1000);
-  cluster.simulator().run_until(1_s);
+  for (int n = 0; n < 2; ++n) cluster.node(n).simulator().run_until(1_s);
   // Patched mode + single-core process: local flush only; force the
   // comparison through the stall bus instead.
   cluster.node(0).linux().stall_all_cores_except(
@@ -126,7 +226,7 @@ TEST(DesCluster, MultiKernelClusterOffloadsPerNode) {
                          return false;
                        });
   }
-  cluster.simulator().run_until(1_s);
+  for (int n = 0; n < 2; ++n) cluster.node(n).simulator().run_until(1_s);
   for (int n = 0; n < 2; ++n) {
     EXPECT_EQ(cluster.node(n).offloader()->replies(), 1u) << "node " << n;
   }

@@ -248,12 +248,20 @@ TEST_P(SamplerScope, MeanOverheadMatchesClosedForm) {
   EXPECT_NEAR(extra_us / n, expected, expected * 0.12 + 0.005);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Scopes, SamplerScope,
-    ::testing::Values(ScopeCase{noise::SourceScope::kPerCore, 48},
-                      ScopeCase{noise::SourceScope::kAllCores, 48},
-                      ScopeCase{noise::SourceScope::kPerNodeRandomCore, 48},
-                      ScopeCase{noise::SourceScope::kPerNodeRandomCore, 4}));
+// gtest names each case after the raw bytes of its ScopeCase, padding
+// included. Cases built as temporaries carry stack garbage in the three
+// padding bytes, so their names changed from one process to the next; an
+// array with static storage is zero-initialised, padding too, which keeps
+// the names stable.
+constexpr ScopeCase kScopeCases[] = {
+    {noise::SourceScope::kPerCore, 48},
+    {noise::SourceScope::kAllCores, 48},
+    {noise::SourceScope::kPerNodeRandomCore, 48},
+    {noise::SourceScope::kPerNodeRandomCore, 4},
+};
+
+INSTANTIATE_TEST_SUITE_P(Scopes, SamplerScope,
+                         ::testing::ValuesIn(kScopeCases));
 
 }  // namespace
 }  // namespace hpcos
