@@ -4,6 +4,20 @@
 
 namespace hpcos::ihk {
 
+IkcMessage take_front(std::vector<IkcMessage>& fifo, std::size_t& head) {
+  HPCOS_CHECK_MSG(head < fifo.size(), "take_front on an empty FIFO");
+  IkcMessage front = std::move(fifo[head]);
+  if (++head == fifo.size()) {
+    fifo.clear();
+    head = 0;
+  } else if (head >= 64 && 2 * head >= fifo.size()) {
+    fifo.erase(fifo.begin(),
+               fifo.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return front;
+}
+
 IkcChannel::IkcChannel(sim::Simulator& simulator, std::string name,
                        SimTime latency)
     : sim_(simulator), name_(std::move(name)), latency_(latency) {
@@ -33,9 +47,14 @@ void IkcChannel::post(IkcMessage message) {
   obs::bump(posted_counter_);
   // Queue depth the new message observes (itself included).
   obs::observe(inflight_hist_, static_cast<double>(posted_ - delivered_));
+  inflight_.push_back(std::move(message));
   sim_.schedule_after(
       latency_,
-      [this, msg = std::move(message)] {
+      [this] {
+        // Taken out before the receiver runs: it may post on this channel.
+        const IkcMessage msg = take_front(inflight_, inflight_head_);
+        HPCOS_CHECK_MSG(msg.sent_at + latency_ == sim_.now(),
+                        "IKC delivery out of post order");
         ++delivered_;
         obs::bump(delivered_counter_);
         receiver_(msg);

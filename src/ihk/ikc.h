@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/sim_time.h"
+#include "hw/ids.h"
 #include "obs/registry.h"
 #include "oskernel/syscall.h"
 #include "oskernel/types.h"
@@ -24,6 +26,7 @@ struct IkcMessage {
   // handler can wake it).
   os::ThreadId sender = os::kInvalidThread;
   os::Pid sender_pid = os::kInvalidPid;
+  hw::CoreId sender_core = hw::kInvalidCore;  // where the sender blocked
   os::SyscallRequest request;
   os::SyscallResult result;
   bool is_reply = false;
@@ -32,12 +35,19 @@ struct IkcMessage {
   // Observability: the span id of the offload operation this message
   // belongs to (0 when tracing is off) plus the path timestamps collected
   // as the message crosses the stack. The reply handler reconstructs the
-  // whole round trip from these (see mckernel/offload.cpp).
+  // whole round trip from these and sender_core (see mckernel/offload.cpp).
   std::uint64_t span = 0;
   SimTime offload_start;       // LWK-side enqueue (before marshalling)
   SimTime host_delivered_at;   // doorbell delivery on the Linux side
   SimTime proxy_start;         // proxy thread began executing the call
 };
+
+// Pops the oldest message of a head-indexed FIFO: `fifo[head..]` holds the
+// waiting messages, oldest first. The vector's storage is reused: it is
+// cleared when the last message leaves and compacted once the consumed
+// prefix is at least half of it, so a FIFO in steady state allocates
+// nothing (unlike std::deque, which allocates a block every few messages).
+IkcMessage take_front(std::vector<IkcMessage>& fifo, std::size_t& head);
 
 class IkcChannel {
  public:
@@ -68,6 +78,12 @@ class IkcChannel {
   std::string name_;
   SimTime latency_;
   Handler receiver_;
+  // Messages in flight, oldest first (see take_front). The delivery event
+  // carries only `this`: with one constant latency and equal-time events
+  // firing in schedule order, deliveries fire in post order, so each pops
+  // the FIFO's front (checked against its post time).
+  std::vector<IkcMessage> inflight_;
+  std::size_t inflight_head_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t posted_ = 0;
   std::uint64_t delivered_ = 0;

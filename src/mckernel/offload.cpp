@@ -10,15 +10,14 @@ void ProxyBody::step(os::ThreadContext& ctx) {
     reply.result = ctx.last_syscall();
     offloader_.send_reply(std::move(reply));
   }
-  if (queue_.empty()) {
+  if (backlog() == 0) {
     phase_ = Phase::kParked;
     parked_ = true;
     ctx.invoke(os::Syscall::kFutex, os::SyscallArgs{.arg0 = 0});
     return;
   }
   parked_ = false;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
+  current_ = ihk::take_front(queue_, queue_head_);
   phase_ = Phase::kExecuted;
   current_->proxy_start = offloader_.now();
   ctx.invoke(current_->request.no, current_->request.args);
@@ -67,23 +66,27 @@ void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
                                const os::SyscallRequest& request) {
   ++requests_;
   obs::bump(requests_counter_);
-  Pending pending;
-  pending.t0 = lwk_.simulator().now();
-  pending.core = lwk_.thread(lwk_tid).core;
-  sim::TraceBuffer* tb = lwk_.trace();
-  if (tb != nullptr && tb->enabled()) pending.span = tb->new_span();
-  pending_[lwk_tid] = pending;
-
+  // The message carries the whole offload record (start, core, span) to
+  // the reply handler; the LWK thread blocks until that reply.
   ihk::IkcMessage m;
   m.sender = lwk_tid;
   m.sender_pid = lwk_pid;
+  m.sender_core = lwk_.thread(lwk_tid).core;
   m.request = request;
-  m.span = pending.span;
-  m.offload_start = pending.t0;
+  m.offload_start = lwk_.simulator().now();
+  sim::TraceBuffer* tb = lwk_.trace();
+  if (tb != nullptr && tb->enabled()) m.span = tb->new_span();
   // Marshalling on the LWK side happens before the doorbell rings.
-  const SimTime marshal = lwk_.config().offload_marshal_cost;
+  marshalling_.push_back(std::move(m));
   lwk_.simulator().schedule_after(
-      marshal, [this, m = std::move(m)] { to_host_.post(m); },
+      lwk_.config().offload_marshal_cost,
+      [this] {
+        ihk::IkcMessage next = ihk::take_front(marshalling_, marshalling_head_);
+        HPCOS_CHECK_MSG(
+            next.offload_start + lwk_.config().offload_marshal_cost == now(),
+            "offload marshalled out of order");
+        to_host_.post(std::move(next));
+      },
       "lwk.offload.marshal");
 }
 
@@ -93,8 +96,9 @@ void SyscallOffloader::send_reply(ihk::IkcMessage message) {
 }
 
 SyscallOffloader::Proxy& SyscallOffloader::ensure_proxy(os::Pid lwk_pid) {
-  auto it = proxies_.find(lwk_pid);
-  if (it != proxies_.end()) return it->second;
+  for (Proxy& p : proxies_) {
+    if (p.lwk_pid == lwk_pid) return p;
+  }
 
   // One proxy process per McKernel process, living on the host's system
   // cores (where it cannot disturb application cores).
@@ -104,8 +108,7 @@ SyscallOffloader::Proxy& SyscallOffloader::ensure_proxy(os::Pid lwk_pid) {
   attrs.name = "mcexec-proxy-" + std::to_string(lwk_pid);
   attrs.affinity = proxy_affinity_;
   const os::ThreadId tid = host_.spawn(std::move(body), std::move(attrs));
-  auto [ins, _] = proxies_.emplace(lwk_pid, Proxy{tid, raw});
-  return ins->second;
+  return proxies_.emplace_back(Proxy{lwk_pid, tid, raw});
 }
 
 void SyscallOffloader::on_host_delivery(const ihk::IkcMessage& message) {
@@ -131,27 +134,22 @@ void SyscallOffloader::on_lwk_delivery(const ihk::IkcMessage& message) {
   os::SyscallResult result = message.result;
   result.path = os::SyscallResult::Path::kOffloaded;
   const SimTime reply_at = lwk_.simulator().now();
-  if (auto it = pending_.find(message.sender); it != pending_.end()) {
-    const Pending& pending = it->second;
-    const SimTime rtt = reply_at - pending.t0;
-    roundtrip_us_.add(rtt.to_us());
-    // Latency split: enqueue -> proxy starts executing -> reply posted ->
-    // reply delivered (the reply rides to_lwk_, so it was posted one
-    // channel latency ago).
-    const SimTime reply_posted = reply_at - to_lwk_.latency();
-    obs::observe(wakeup_us_h_, (message.proxy_start - pending.t0).to_us());
-    obs::observe(execute_us_h_,
-                 (reply_posted - message.proxy_start).to_us());
-    obs::observe(reply_us_h_, (reply_at - reply_posted).to_us());
-    obs::observe(rtt_us_h_, rtt.to_us());
-    if (pending.span != 0) record_offload_spans(pending, message, reply_at);
-    pending_.erase(it);
-  }
+  const SimTime rtt = reply_at - message.offload_start;
+  roundtrip_us_.add(rtt.to_us());
+  // Latency split: enqueue -> proxy starts executing -> reply posted ->
+  // reply delivered (the reply rides to_lwk_, so it was posted one channel
+  // latency ago).
+  const SimTime reply_posted = reply_at - to_lwk_.latency();
+  obs::observe(wakeup_us_h_,
+               (message.proxy_start - message.offload_start).to_us());
+  obs::observe(execute_us_h_, (reply_posted - message.proxy_start).to_us());
+  obs::observe(reply_us_h_, (reply_at - reply_posted).to_us());
+  obs::observe(rtt_us_h_, rtt.to_us());
+  if (message.span != 0) record_offload_spans(message, reply_at);
   lwk_.complete_blocked_syscall(message.sender, result);
 }
 
-void SyscallOffloader::record_offload_spans(const Pending& pending,
-                                            const ihk::IkcMessage& message,
+void SyscallOffloader::record_offload_spans(const ihk::IkcMessage& message,
                                             SimTime reply_at) {
   sim::TraceBuffer* tb = lwk_.trace();
   if (tb == nullptr || !tb->enabled()) return;
@@ -159,21 +157,21 @@ void SyscallOffloader::record_offload_spans(const Pending& pending,
   const SimTime reply_posted = reply_at - to_lwk_.latency();
   auto child = [&](SimTime start, SimTime duration, std::string label) {
     tb->record(sim::TraceRecord{.time = start,
-                                .core = pending.core,
+                                .core = message.sender_core,
                                 .category = sim::TraceCategory::kSyscallOffload,
                                 .duration = duration,
                                 .label = std::move(label),
                                 .span = tb->new_span(),
-                                .parent = pending.span});
+                                .parent = message.span});
   };
-  tb->record(sim::TraceRecord{.time = pending.t0,
-                              .core = pending.core,
+  tb->record(sim::TraceRecord{.time = message.offload_start,
+                              .core = message.sender_core,
                               .category = sim::TraceCategory::kSyscallOffload,
-                              .duration = reply_at - pending.t0,
+                              .duration = reply_at - message.offload_start,
                               .label = "offload:" + to_string(message.request.no),
-                              .span = pending.span,
+                              .span = message.span,
                               .parent = 0});
-  child(pending.t0, marshal, "offload:marshal");
+  child(message.offload_start, marshal, "offload:marshal");
   child(message.host_delivered_at - to_host_.latency(), to_host_.latency(),
         "ikc:to_host");
   child(message.host_delivered_at,

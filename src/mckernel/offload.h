@@ -11,9 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/stats.h"
 #include "ihk/ikc.h"
@@ -36,13 +35,15 @@ class ProxyBody final : public os::ThreadBody {
     queue_.push_back(std::move(message));
   }
   bool parked() const { return parked_; }
-  std::size_t backlog() const { return queue_.size(); }
+  std::size_t backlog() const { return queue_.size() - queue_head_; }
 
  private:
   enum class Phase : std::uint8_t { kStart, kParked, kExecuted };
 
   SyscallOffloader& offloader_;
-  std::deque<ihk::IkcMessage> queue_;
+  // Requests awaiting execution, oldest first (see ihk::take_front).
+  std::vector<ihk::IkcMessage> queue_;
+  std::size_t queue_head_ = 0;
   std::optional<ihk::IkcMessage> current_;
   Phase phase_ = Phase::kStart;
   bool parked_ = false;
@@ -80,31 +81,30 @@ class SyscallOffloader {
 
  private:
   struct Proxy {
+    os::Pid lwk_pid = os::kInvalidPid;
     os::ThreadId host_tid = os::kInvalidThread;
     ProxyBody* body = nullptr;  // owned by the host thread record
-  };
-  // One in-flight offload per LWK thread (the thread blocks until the
-  // reply): its start time, issuing core, and root span id.
-  struct Pending {
-    SimTime t0;
-    hw::CoreId core = hw::kInvalidCore;
-    std::uint64_t span = 0;
   };
   Proxy& ensure_proxy(os::Pid lwk_pid);
   void on_host_delivery(const ihk::IkcMessage& message);
   void on_lwk_delivery(const ihk::IkcMessage& message);
   // Emit the round trip as a parent-linked span tree (root + marshal,
   // both IKC hops, proxy wakeup and execute) into the LWK trace buffer.
-  void record_offload_spans(const Pending& pending,
-                            const ihk::IkcMessage& message, SimTime reply_at);
+  void record_offload_spans(const ihk::IkcMessage& message, SimTime reply_at);
 
   McKernel& lwk_;
   os::NodeKernel& host_;
   ihk::IkcChannel& to_host_;
   ihk::IkcChannel& to_lwk_;
   hw::CpuSet proxy_affinity_;
-  std::unordered_map<os::Pid, Proxy> proxies_;
-  std::unordered_map<os::ThreadId, Pending> pending_;  // by sender tid
+  // One per McKernel process, in creation order; a handful at most, so a
+  // linear scan beats hashing the pid on every delivery.
+  std::vector<Proxy> proxies_;
+  // Requests being marshalled, oldest first (see ihk::take_front). The
+  // marshal event carries only `this` and pops the front: the marshal
+  // cost is one constant, so marshal events fire in offload order.
+  std::vector<ihk::IkcMessage> marshalling_;
+  std::size_t marshalling_head_ = 0;
   std::uint64_t requests_ = 0;
   std::uint64_t replies_ = 0;
   OnlineStats roundtrip_us_;

@@ -64,7 +64,8 @@ NodeKernel::NodeKernel(sim::Simulator& simulator,
       owned_cores_(std::move(owned_cores)),
       costs_(costs),
       trace_(trace),
-      cores_(static_cast<std::size_t>(topology.logical_cores())) {
+      cores_(static_cast<std::size_t>(topology.logical_cores())),
+      load_(cores_.size(), 0) {
   HPCOS_CHECK_MSG(owned_cores_.any(), "kernel owns no cores");
   for (hw::CoreId id : owned_cores_.to_vector()) {
     HPCOS_CHECK(id < topology.logical_cores());
@@ -118,7 +119,8 @@ ThreadId NodeKernel::spawn(std::unique_ptr<ThreadBody> body,
   t->background = attrs.background;
   t->body = std::move(body);
 
-  threads_.emplace(tid, std::move(t));
+  Thread* thread = t.get();
+  threads_.push_back(std::move(t));
   process(pid).threads.push_back(tid);
   ++live_threads_;
   // Initial dispatch goes through the event queue so spawn() returns
@@ -126,31 +128,35 @@ ThreadId NodeKernel::spawn(std::unique_ptr<ThreadBody> body,
   // creator's stack frame).
   sim_.schedule_after(
       SimTime::zero(),
-      [this, tid] {
-        auto it = threads_.find(tid);
-        if (it == threads_.end()) return;
-        Thread& t = *it->second;
-        if (t.state == ThreadState::kReady) enqueue_and_maybe_dispatch(t);
+      [this, thread] {
+        if (thread->state == ThreadState::kReady) {
+          enqueue_and_maybe_dispatch(*thread);
+        }
       },
       "os.thread.start");
   return tid;
 }
 
+Thread* NodeKernel::find_thread(ThreadId tid) const {
+  if (tid == kInvalidThread || tid > threads_.size()) return nullptr;
+  return threads_[tid - 1].get();
+}
+
 const Thread& NodeKernel::thread(ThreadId tid) const {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "unknown tid");
-  return *it->second;
+  const Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "unknown tid");
+  return *t;
 }
 
 Thread& NodeKernel::thread_mut(ThreadId tid) {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "unknown tid");
-  return *it->second;
+  Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "unknown tid");
+  return *t;
 }
 
 bool NodeKernel::thread_alive(ThreadId tid) const {
-  auto it = threads_.find(tid);
-  return it != threads_.end() && it->second->state != ThreadState::kExited;
+  const Thread* t = find_thread(tid);
+  return t != nullptr && t->state != ThreadState::kExited;
 }
 
 void NodeKernel::set_affinity(ThreadId tid, hw::CpuSet affinity) {
@@ -227,22 +233,19 @@ void NodeKernel::stall_all_cores_except(hw::CoreId initiator,
 // ---- blocking ----
 
 void NodeKernel::wake(ThreadId tid) {
-  auto it = threads_.find(tid);
-  if (it == threads_.end()) return;
-  Thread& t = *it->second;
-  if (t.state != ThreadState::kBlocked) return;  // spurious wake
-  enqueue_and_maybe_dispatch(t);
+  Thread* t = find_thread(tid);
+  if (t == nullptr || t->state != ThreadState::kBlocked) return;  // spurious
+  enqueue_and_maybe_dispatch(*t);
 }
 
 void NodeKernel::complete_blocked_syscall(ThreadId tid,
                                           SyscallResult result) {
-  auto it = threads_.find(tid);
-  HPCOS_CHECK_MSG(it != threads_.end(), "completing syscall of unknown tid");
-  Thread& t = *it->second;
-  HPCOS_CHECK_MSG(t.state == ThreadState::kBlocked,
+  Thread* t = find_thread(tid);
+  HPCOS_CHECK_MSG(t != nullptr, "completing syscall of unknown tid");
+  HPCOS_CHECK_MSG(t->state == ThreadState::kBlocked,
                   "completing syscall of non-blocked thread");
-  t.last_result = result;
-  wake(tid);
+  t->last_result = result;
+  enqueue_and_maybe_dispatch(*t);
 }
 
 // ---- introspection ----
@@ -281,8 +284,10 @@ void NodeKernel::preempt_running(hw::CoreId core) {
   t.state = ThreadState::kReady;
   ++t.involuntary_switches;
   cs.running = kInvalidThread;
-  trace_event(core, sim::TraceCategory::kScheduler, SimTime::zero(),
-              "preempt:" + t.name);
+  if (tracing()) {
+    trace_event(core, sim::TraceCategory::kScheduler, SimTime::zero(),
+                "preempt:" + t.name);
+  }
   // Preempted threads stay local: queue back on the same core.
   sched().enqueue(core, t);
   on_thread_enqueued(core);
@@ -303,7 +308,7 @@ void NodeKernel::block_running(Thread& thread) {
 
 void NodeKernel::trace_event(hw::CoreId core, sim::TraceCategory cat,
                              SimTime duration, const std::string& label) {
-  if (trace_ == nullptr || !trace_->enabled()) return;
+  if (!tracing()) return;
   trace_->record(sim::TraceRecord{.time = sim_.now(),
                                   .core = core,
                                   .category = cat,
@@ -319,28 +324,17 @@ NodeKernel::CoreState& NodeKernel::core_state(hw::CoreId core) {
   return cores_[static_cast<std::size_t>(core)];
 }
 
-std::vector<std::size_t> NodeKernel::load_vector() const {
-  std::vector<std::size_t> load(cores_.size(), 0);
-  for (std::size_t i = 0; i < cores_.size(); ++i) {
-    if (!cores_[i].owned) continue;
-    // The const_cast-free route: schedulers expose runnable counts, and the
-    // running thread adds one.
-    load[i] = (cores_[i].running != kInvalidThread ? 1 : 0);
-  }
-  // Queue depths are added by the caller via the scheduler; see
-  // enqueue_and_maybe_dispatch.
-  return load;
-}
-
 void NodeKernel::enqueue_and_maybe_dispatch(Thread& thread) {
   thread.state = ThreadState::kReady;
-  std::vector<std::size_t> load = load_vector();
-  for (std::size_t i = 0; i < load.size(); ++i) {
-    if (cores_[i].owned) {
-      load[i] += sched().runnable_count(static_cast<hw::CoreId>(i));
-    }
+  // Per-core load: the running thread plus the scheduler's runnable queue
+  // (un-owned cores read 0). The buffer is sized once, in the constructor.
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    load_[i] = cores_[i].owned
+                   ? (cores_[i].running != kInvalidThread ? 1 : 0) +
+                         sched().runnable_count(static_cast<hw::CoreId>(i))
+                   : 0;
   }
-  const hw::CoreId core = sched().select_core(thread, load);
+  const hw::CoreId core = sched().select_core(thread, load_);
   HPCOS_CHECK_MSG(core != hw::kInvalidCore, "scheduler returned no core");
   HPCOS_CHECK_MSG(core_state(core).owned,
                   "scheduler placed thread on un-owned core");
@@ -390,7 +384,8 @@ void NodeKernel::dispatch(hw::CoreId core, ThreadId tid) {
     // The switch occupies the core in kernel mode before the thread runs;
     // begin_action below will start (or defer) the burst accordingly.
     interrupt_core(core, costs_.context_switch,
-                   sim::TraceCategory::kContextSwitch, "switch:" + t.name);
+                   sim::TraceCategory::kContextSwitch,
+                   tracing() ? "switch:" + t.name : std::string());
   }
   on_core_activated(core);
   begin_action(core, t);
@@ -467,20 +462,22 @@ void NodeKernel::start_burst(hw::CoreId core, Thread& thread) {
   HPCOS_CHECK(cs.running == thread.tid);
   if (cs.in_irq) return;  // resumed by on_irq_end
   cs.burst_start = sim_.now();
-  const ThreadId tid = thread.tid;
+  // Two pointers: fits std::function's inline buffer, so arming a burst
+  // allocates nothing (thread records are never freed; see threads_).
+  Thread* t = &thread;
   cs.burst_event = sim_.schedule_after(
-      thread.remaining, [this, core, tid] { on_burst_done(core, tid); },
-      "os.burst.done");
+      thread.remaining, [this, t] { on_burst_done(*t); }, "os.burst.done");
 }
 
-void NodeKernel::on_burst_done(hw::CoreId core, ThreadId tid) {
-  CoreState& cs = core_state(core);
-  HPCOS_CHECK(cs.running == tid);
-  Thread& t = thread_mut(tid);
+void NodeKernel::on_burst_done(Thread& t) {
+  // t.core is the core start_burst armed (dispatch set it; leaving the
+  // core cancels the burst).
+  CoreState& cs = core_state(t.core);
+  HPCOS_CHECK(cs.running == t.tid);
   cs.burst_event = sim::EventId{};
   charge_burst(cs, t, t.remaining);
   t.remaining = SimTime::zero();
-  finish_action(core, t);
+  finish_action(t.core, t);
 }
 
 void NodeKernel::pause_burst(hw::CoreId core) {

@@ -154,6 +154,9 @@ class NodeKernel {
 
   void trace_event(hw::CoreId core, sim::TraceCategory cat, SimTime duration,
                    const std::string& label);
+  // True while a trace buffer is recording; callers build a label string
+  // only then, keeping the untraced hot path free of allocations.
+  bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
 
   // Mutable thread access for subclasses (tick handlers, signal delivery).
   Thread& thread_ref(ThreadId tid) { return thread_mut(tid); }
@@ -173,16 +176,17 @@ class NodeKernel {
     CoreAccounting acct;
   };
 
+  // The record of `tid`, or nullptr for a tid never issued.
+  Thread* find_thread(ThreadId tid) const;
   Thread& thread_mut(ThreadId tid);
   CoreState& core_state(hw::CoreId core);
-  std::vector<std::size_t> load_vector() const;
 
   void enqueue_and_maybe_dispatch(Thread& thread);
   void maybe_dispatch(hw::CoreId core);
   void dispatch(hw::CoreId core, ThreadId tid);
   void begin_action(hw::CoreId core, Thread& thread);
   void start_burst(hw::CoreId core, Thread& thread);
-  void on_burst_done(hw::CoreId core, ThreadId tid);
+  void on_burst_done(Thread& thread);
   void pause_burst(hw::CoreId core);  // charge elapsed, cancel event
   void finish_action(hw::CoreId core, Thread& thread);
   void release_core(hw::CoreId core);
@@ -198,7 +202,13 @@ class NodeKernel {
   obs::Counter* interrupt_ns_counter_ = nullptr;
 
   std::vector<CoreState> cores_;
-  std::unordered_map<ThreadId, std::unique_ptr<Thread>> threads_;
+  // Scratch per-core load handed to Scheduler::select_core; sized once.
+  std::vector<std::size_t> load_;
+  // Every thread ever spawned, indexed by tid - 1: tids are dense from 1
+  // and never reused, and records outlive their thread's exit, so a
+  // Thread* stays valid for the kernel's lifetime (event closures hold
+  // one) and a lookup is one bounds check, no hashing.
+  std::vector<std::unique_ptr<Thread>> threads_;
   std::unordered_map<Pid, std::unique_ptr<Process>> processes_;
   ThreadId next_tid_ = 1;
   Pid next_pid_ = 1;

@@ -14,8 +14,13 @@
 // leaving a ghost heap entry that is discarded (and its slot recycled)
 // when it reaches the top. A slot is therefore reused only after its one
 // heap entry has popped, so a stale id can never cancel a later event.
-// Steady-state scheduling allocates nothing in the queue itself; only a
-// handler closure too large for std::function's inline buffer does.
+// Steady-state scheduling allocates nothing in the queue itself. A handler
+// allocates unless its closure fits std::function's 16-byte inline buffer
+// and is trivially copyable: capture at most two pointer-sized values
+// (`this` plus one pointer or id) and park larger payloads in a FIFO owned
+// by the scheduling object (ihk::IkcChannel). The hpcos_alloc_tests binary
+// (ctest -L alloc) pins a steady-state node run and IKC traffic at zero
+// allocations.
 //
 // Self-observability (see EXPERIMENTS.md "Profiling the simulator"):
 //   * queue_telemetry() — always-on push/pop/cancel/max-depth counters

@@ -1,0 +1,82 @@
+// Zero-allocation witnesses for the DES event path (ctest -L alloc).
+//
+// Once warm, a node's per-event work must not touch the heap: every
+// handler closure fits std::function's inline buffer, the thread table is
+// a vector, and IKC payloads wait in a reusing FIFO (see sim/simulator.h).
+// Each check warms up first (queue slots, FIFO storage and scheduler
+// containers reach their steady-state capacity), then counts operator new
+// calls over a measured window that contains no gtest assertions.
+#include <gtest/gtest.h>
+
+#include "alloc_counter.h"
+#include "ihk/ikc.h"
+#include "kernel_test_util.h"
+
+namespace hpcos {
+namespace {
+
+using namespace hpcos::literals;
+
+TEST(ZeroAlloc, ComputeLoopOnEveryApplicationCore) {
+  test::LinuxNode node;
+  node.trace = sim::TraceBuffer();  // capacity 0: tracing off
+  const SimTime kQuantum = SimTime::us(100);
+  const hw::CpuSet app = node.topo.application_cores();
+  for (hw::CoreId core : app.to_vector()) {
+    test::spawn_script(
+        *node.kernel,
+        [kQuantum](os::ThreadContext& ctx) {
+          ctx.compute(kQuantum);
+          return true;
+        },
+        os::SpawnAttrs{.affinity = test::one_core(node.topo, core)});
+  }
+  node.sim.run_until(10_ms);  // warm-up
+
+  const std::uint64_t events0 = node.sim.events_executed();
+  const std::uint64_t allocs0 = test::allocation_count();
+  node.sim.run_until(300_ms);
+  const std::uint64_t allocs = test::allocation_count() - allocs0;
+  const std::uint64_t events = node.sim.events_executed() - events0;
+
+  // One os.burst.done per quantum per core: 6 cores x 2900 quanta.
+  EXPECT_GE(events, 10'000u);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(ZeroAlloc, IkcPingPong) {
+  sim::Simulator sim;
+  ihk::IkcChannel ping(sim, "ping", SimTime::us(1));
+  ihk::IkcChannel pong(sim, "pong", SimTime::us(2));
+  std::uint64_t round_trips = 0;
+  std::uint64_t limit = 0;
+  // Each receiver answers on the other channel with the payload it got.
+  ping.set_receiver([&](const ihk::IkcMessage& m) { pong.post(m); });
+  pong.set_receiver([&](const ihk::IkcMessage& m) {
+    if (++round_trips < limit) ping.post(m);
+  });
+  auto play = [&](std::uint64_t trips) {
+    limit = round_trips + trips;
+    // Several messages in flight at once, so both FIFOs hold a backlog.
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      ihk::IkcMessage m;
+      m.sender = i + 1;
+      ping.post(m);
+    }
+    sim.run_all();
+  };
+  play(100);  // warm-up
+
+  const std::uint64_t trips0 = round_trips;
+  const std::uint64_t allocs0 = test::allocation_count();
+  play(2'000);
+  const std::uint64_t allocs = test::allocation_count() - allocs0;
+
+  EXPECT_GE(round_trips - trips0, 1'000u);
+  EXPECT_EQ(ping.messages_posted(), ping.messages_delivered());
+  EXPECT_EQ(pong.messages_posted(), pong.messages_delivered());
+  EXPECT_EQ(allocs, 0u);
+}
+
+}  // namespace
+}  // namespace hpcos

@@ -85,6 +85,101 @@ TEST_F(IhkTest, IkcDeliversAfterLatencyInOrder) {
   EXPECT_EQ(ch.messages_delivered(), 2u);
 }
 
+TEST_F(IhkTest, IkcEqualTimePostsDeliverInPostOrderWithOwnPayload) {
+  ihk::IkcChannel ch(sim, "burst", SimTime::us(1));
+  std::vector<os::ThreadId> senders;
+  std::vector<std::uint64_t> args;
+  ch.set_receiver([&](const ihk::IkcMessage& m) {
+    EXPECT_EQ(sim.now(), SimTime::us(1));
+    senders.push_back(m.sender);
+    args.push_back(m.request.args.arg0);
+  });
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    ihk::IkcMessage m;
+    m.sender = i;
+    m.request.args.arg0 = 100 * i;
+    ch.post(m);
+  }
+  sim.run_all();
+  EXPECT_EQ(senders, (std::vector<os::ThreadId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(args, (std::vector<std::uint64_t>{100, 200, 300, 400, 500}));
+}
+
+TEST_F(IhkTest, IkcReceiverPostingOnItsOwnChannelWaitsOneLatency) {
+  ihk::IkcChannel ch(sim, "echo", SimTime::us(3));
+  std::vector<std::pair<SimTime, os::ThreadId>> got;
+  ch.set_receiver([&](const ihk::IkcMessage& m) {
+    got.emplace_back(sim.now(), m.sender);
+    if (m.sender < 3) {
+      ihk::IkcMessage next;
+      next.sender = m.sender + 1;
+      ch.post(next);
+    }
+  });
+  ihk::IkcMessage first;
+  first.sender = 1;
+  ch.post(first);
+  sim.run_all();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, ch.latency() * static_cast<std::int64_t>(i + 1));
+    EXPECT_EQ(got[i].second, i + 1);
+  }
+}
+
+TEST_F(IhkTest, IkcInterleavedChannelsKeepTheirPayloads) {
+  ihk::IkcChannel a(sim, "a", SimTime::us(2));
+  ihk::IkcChannel b(sim, "b", SimTime::us(3));
+  std::vector<std::uint64_t> got_a;
+  std::vector<std::uint64_t> got_b;
+  a.set_receiver(
+      [&](const ihk::IkcMessage& m) { got_a.push_back(m.request.args.arg0); });
+  b.set_receiver(
+      [&](const ihk::IkcMessage& m) { got_b.push_back(m.request.args.arg0); });
+  // Posts alternate between the channels at 1 us steps, so their
+  // deliveries interleave in the one event queue.
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ihk::IkcMessage m;
+    m.request.args.arg0 = i;
+    (i % 2 == 0 ? a : b).post(m);
+    sim.run_until(SimTime::us(static_cast<std::int64_t>(i + 1)));
+  }
+  sim.run_all();
+  EXPECT_EQ(got_a, (std::vector<std::uint64_t>{0, 2, 4}));
+  EXPECT_EQ(got_b, (std::vector<std::uint64_t>{1, 3, 5}));
+}
+
+TEST(IkcFifo, TakeFrontKeepsOrderAcrossCompaction) {
+  // A backlog that never drains: the consumed prefix is compacted away
+  // instead of growing without bound, and order survives it.
+  std::vector<ihk::IkcMessage> fifo;
+  std::size_t head = 0;
+  std::uint64_t next_in = 0;
+  std::uint64_t next_out = 0;
+  auto push = [&] {
+    ihk::IkcMessage m;
+    m.request.args.arg0 = next_in++;
+    fifo.push_back(m);
+  };
+  for (int i = 0; i < 10; ++i) push();
+  for (int round = 0; round < 1000; ++round) {
+    push();
+    push();
+    for (int k = 0; k < 2; ++k) {
+      EXPECT_EQ(ihk::take_front(fifo, head).request.args.arg0, next_out++);
+    }
+    ASSERT_EQ(fifo.size() - head, 10u);
+    ASSERT_LT(fifo.size(), 200u);
+  }
+  while (head < fifo.size()) {
+    EXPECT_EQ(ihk::take_front(fifo, head).request.args.arg0, next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(head, 0u);
+  EXPECT_THROW(ihk::take_front(fifo, head), SimError);
+}
+
 TEST_F(IhkTest, IkcWithoutReceiverFails) {
   ihk::IkcChannel ch(sim, "bad", SimTime::us(1));
   EXPECT_THROW(ch.post(ihk::IkcMessage{}), SimError);

@@ -263,6 +263,48 @@ TEST(KernelExec, ThreadAndProcessLifecycle) {
   EXPECT_EQ(node.lwk->thread(tid).state, os::ThreadState::kExited);
 }
 
+TEST(KernelExec, UnknownTidsAreRejectedOrIgnored) {
+  MultiKernelNode node;
+  const auto tid = spawn_script(*node.lwk, [](os::ThreadContext& ctx) {
+    ctx.compute(1_ms);
+    return true;
+  });
+  const os::ThreadId never_issued = tid + 100;
+  for (os::ThreadId bad : {os::kInvalidThread, never_issued}) {
+    try {
+      (void)node.lwk->thread(bad);
+      ADD_FAILURE() << "thread(" << bad << ") did not throw";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown tid"), std::string::npos);
+    }
+    EXPECT_FALSE(node.lwk->thread_alive(bad));
+    node.lwk->wake(bad);  // no-op
+  }
+  node.sim.run_until(10_ms);
+  EXPECT_TRUE(node.lwk->thread_alive(tid));
+  EXPECT_EQ(node.lwk->live_thread_count(), 1u);
+}
+
+TEST(KernelExec, ExitedThreadStaysReadableAndIgnoresWake) {
+  MultiKernelNode node;
+  int steps = 0;
+  const auto tid = spawn_script(*node.lwk, [&](os::ThreadContext& ctx) {
+    if (steps++ > 0) return false;
+    ctx.compute(2_ms);
+    return true;
+  });
+  node.sim.run_until(5_ms);
+  EXPECT_FALSE(node.lwk->thread_alive(tid));
+  node.lwk->wake(tid);  // no-op: the record stays exited
+  node.sim.run_until(10_ms);
+  const os::Thread& t = node.lwk->thread(tid);
+  EXPECT_EQ(t.tid, tid);
+  EXPECT_EQ(t.state, os::ThreadState::kExited);
+  EXPECT_EQ(t.user_time, 2_ms);
+  EXPECT_EQ(steps, 2);
+  EXPECT_EQ(node.lwk->live_thread_count(), 0u);
+}
+
 TEST(KernelExec, AffinityRestrictsPlacement) {
   MultiKernelNode node;
   const auto pin = test::one_core(node.topo, 5);
