@@ -3,6 +3,11 @@
 // Used wherever the real systems use affinity masks: cgroup cpusets, IRQ
 // smp_affinity, kworker binding, blk_mq_hw_ctx.cpumask, and IHK's core
 // reservation.
+//
+// Stored as 64-bit words, bit i of word i / 64 standing for core i, with
+// the bits past capacity() kept zero: count() is a popcount per word,
+// next() a count-trailing-zeros, and the set operations go word by word.
+// Two sets are equal when both capacity and members match.
 #pragma once
 
 #include <cstddef>
@@ -26,13 +31,13 @@ class CpuSet {
   // Contiguous range [first, last] inclusive, like "0-47".
   static CpuSet range(std::size_t num_cores, CoreId first, CoreId last);
 
-  std::size_t capacity() const { return bits_.size(); }
+  std::size_t capacity() const { return size_; }
   bool test(CoreId id) const;
   void set(CoreId id, bool value = true);
   void clear();
 
   std::size_t count() const;
-  bool empty() const { return count() == 0; }
+  bool empty() const;
   bool any() const { return !empty(); }
 
   // First set core, or kInvalidCore when empty.
@@ -53,7 +58,8 @@ class CpuSet {
   std::string to_string() const;
 
  private:
-  std::vector<bool> bits_;
+  std::size_t size_ = 0;             // capacity in cores
+  std::vector<std::uint64_t> words_; // (size_ + 63) / 64 words
 };
 
 }  // namespace hpcos::hw

@@ -1,22 +1,9 @@
 #include "ihk/ikc.h"
 
 #include "common/check.h"
+#include "common/fifo.h"
 
 namespace hpcos::ihk {
-
-IkcMessage take_front(std::vector<IkcMessage>& fifo, std::size_t& head) {
-  HPCOS_CHECK_MSG(head < fifo.size(), "take_front on an empty FIFO");
-  IkcMessage front = std::move(fifo[head]);
-  if (++head == fifo.size()) {
-    fifo.clear();
-    head = 0;
-  } else if (head >= 64 && 2 * head >= fifo.size()) {
-    fifo.erase(fifo.begin(),
-               fifo.begin() + static_cast<std::ptrdiff_t>(head));
-    head = 0;
-  }
-  return front;
-}
 
 IkcChannel::IkcChannel(sim::Simulator& simulator, std::string name,
                        SimTime latency)

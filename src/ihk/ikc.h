@@ -42,13 +42,6 @@ struct IkcMessage {
   SimTime proxy_start;         // proxy thread began executing the call
 };
 
-// Pops the oldest message of a head-indexed FIFO: `fifo[head..]` holds the
-// waiting messages, oldest first. The vector's storage is reused: it is
-// cleared when the last message leaves and compacted once the consumed
-// prefix is at least half of it, so a FIFO in steady state allocates
-// nothing (unlike std::deque, which allocates a block every few messages).
-IkcMessage take_front(std::vector<IkcMessage>& fifo, std::size_t& head);
-
 class IkcChannel {
  public:
   using Handler = std::function<void(const IkcMessage&)>;
@@ -78,7 +71,7 @@ class IkcChannel {
   std::string name_;
   SimTime latency_;
   Handler receiver_;
-  // Messages in flight, oldest first (see take_front). The delivery event
+  // Messages in flight, oldest first (see common/fifo.h). The delivery event
   // carries only `this`: with one constant latency and equal-time events
   // firing in schedule order, deliveries fire in post order, so each pops
   // the FIFO's front (checked against its post time).

@@ -38,21 +38,22 @@ hw::CoreId CfsScheduler::select_core(const os::Thread& thread,
   // wake_affine: stick to the previous CPU when allowed — this is why
   // unbound daemons keep landing on application cores once they have run
   // there. Fresh threads (no previous core) pick a random allowed core,
-  // then load balancing below evens things out over time.
-  const hw::CpuSet allowed = thread.affinity & owned_;
-  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for thread");
-
-  if (thread.core != hw::kInvalidCore && allowed.test(thread.core)) {
+  // then load balancing below evens things out over time. The sticky path
+  // builds no mask temporary, so a wakeup allocates nothing.
+  if (thread.affinity.test(thread.core) && owned_.test(thread.core)) {
     const std::size_t here = load[static_cast<std::size_t>(thread.core)];
     // Stay unless clearly imbalanced (another allowed core is idle while
     // this one is contended).
     if (here <= 1) return thread.core;
-    for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
-         c = allowed.next(c)) {
-      if (load[static_cast<std::size_t>(c)] == 0) return c;
+    for (hw::CoreId c = thread.affinity.first(); c != hw::kInvalidCore;
+         c = thread.affinity.next(c)) {
+      if (owned_.test(c) && load[static_cast<std::size_t>(c)] == 0) return c;
     }
     return thread.core;
   }
+
+  const hw::CpuSet allowed = thread.affinity & owned_;
+  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for thread");
 
   // Initial placement: uniformly random among the least-loaded allowed
   // cores (deterministic under the seed).
@@ -76,7 +77,6 @@ void CfsScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
   thread.vruntime = std::max(
       thread.vruntime, q.min_vruntime - to_vr(params_.sleeper_credit));
   q.threads.push_back(&thread);
-  queued_on_[thread.tid] = core;
 }
 
 os::ThreadId CfsScheduler::pick_next(hw::CoreId core) {
@@ -88,19 +88,18 @@ os::ThreadId CfsScheduler::pick_next(hw::CoreId core) {
                              });
   os::Thread* t = *it;
   q.threads.erase(it);
-  queued_on_.erase(t->tid);
   q.min_vruntime = std::max(q.min_vruntime, t->vruntime);
   return t->tid;
 }
 
 void CfsScheduler::remove(const os::Thread& thread) {
-  auto it = queued_on_.find(thread.tid);
-  if (it == queued_on_.end()) return;
-  Queue& q = queue(it->second);
-  std::erase_if(q.threads, [&](const os::Thread* t) {
-    return t->tid == thread.tid;
-  });
-  queued_on_.erase(it);
+  // Only thread exit calls this, and an exiting thread is running, so it
+  // is on no queue; a scan keeps enqueue and pick_next free of an index.
+  for (Queue& q : queues_) {
+    std::erase_if(q.threads, [&](const os::Thread* t) {
+      return t->tid == thread.tid;
+    });
+  }
 }
 
 std::size_t CfsScheduler::runnable_count(hw::CoreId core) const {

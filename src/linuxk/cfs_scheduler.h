@@ -8,7 +8,6 @@
 // nohz_full core while more than one task is runnable).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -53,7 +52,6 @@ class CfsScheduler final : public os::Scheduler {
   hw::CpuSet nohz_full_;
   CfsParams params_;
   std::vector<Queue> queues_;
-  std::unordered_map<os::ThreadId, hw::CoreId> queued_on_;
   RngStream rng_;
 };
 

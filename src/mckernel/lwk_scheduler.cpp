@@ -12,14 +12,15 @@ LwkScheduler::LwkScheduler(std::size_t num_cores, hw::CpuSet owned_cores)
 
 hw::CoreId LwkScheduler::select_core(const os::Thread& thread,
                                      const std::vector<std::size_t>& load) {
-  const hw::CpuSet allowed = thread.affinity & owned_;
-  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for LWK thread");
   // Threads stay put once placed (the LWK never migrates); fresh threads
   // fill the least-loaded core, lowest id first — matching mcexec's
-  // deterministic one-rank/thread-per-core layout.
-  if (thread.core != hw::kInvalidCore && allowed.test(thread.core)) {
+  // deterministic one-rank/thread-per-core layout. The sticky test needs
+  // no mask temporary, so a wakeup allocates nothing.
+  if (thread.affinity.test(thread.core) && owned_.test(thread.core)) {
     return thread.core;
   }
+  const hw::CpuSet allowed = thread.affinity & owned_;
+  HPCOS_CHECK_MSG(allowed.any(), "no allowed core for LWK thread");
   hw::CoreId best = hw::kInvalidCore;
   std::size_t best_load = std::numeric_limits<std::size_t>::max();
   for (hw::CoreId c = allowed.first(); c != hw::kInvalidCore;
@@ -34,25 +35,21 @@ hw::CoreId LwkScheduler::select_core(const os::Thread& thread,
 
 void LwkScheduler::enqueue(hw::CoreId core, os::Thread& thread) {
   queues_.at(static_cast<std::size_t>(core)).push_back(thread.tid);
-  queued_on_[thread.tid] = core;
 }
 
 os::ThreadId LwkScheduler::pick_next(hw::CoreId core) {
   auto& q = queues_.at(static_cast<std::size_t>(core));
   if (q.empty()) return os::kInvalidThread;
   const os::ThreadId tid = q.front();
-  q.pop_front();
-  queued_on_.erase(tid);
+  q.erase(q.begin());
   obs::bump(dispatch_counter_);
   return tid;
 }
 
 void LwkScheduler::remove(const os::Thread& thread) {
-  auto it = queued_on_.find(thread.tid);
-  if (it == queued_on_.end()) return;
-  auto& q = queues_.at(static_cast<std::size_t>(it->second));
-  std::erase(q, thread.tid);
-  queued_on_.erase(it);
+  // Only thread exit calls this, and an exiting thread is running, so it
+  // is on no queue; a scan keeps enqueue and pick_next free of an index.
+  for (auto& q : queues_) std::erase(q, thread.tid);
 }
 
 std::size_t LwkScheduler::runnable_count(hw::CoreId core) const {

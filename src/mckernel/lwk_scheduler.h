@@ -5,8 +5,6 @@
 // per-core placement this is what makes the LWK noise-free by construction.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "hw/cpuset.h"
@@ -40,8 +38,10 @@ class LwkScheduler final : public os::Scheduler {
  private:
   obs::Counter* dispatch_counter_ = nullptr;
   hw::CpuSet owned_;
-  std::vector<std::deque<os::ThreadId>> queues_;  // FIFO round robin
-  std::unordered_map<os::ThreadId, hw::CoreId> queued_on_;
+  // FIFO round robin, oldest first. Vectors, not deques: the queues are
+  // short (one thread per core is the LWK layout) and a deque allocates a
+  // block every 128 pushes.
+  std::vector<std::vector<os::ThreadId>> queues_;
 };
 
 }  // namespace hpcos::mck

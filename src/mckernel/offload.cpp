@@ -1,5 +1,7 @@
 #include "mckernel/offload.h"
 
+#include "common/fifo.h"
+
 namespace hpcos::mck {
 
 void ProxyBody::step(os::ThreadContext& ctx) {
@@ -17,7 +19,7 @@ void ProxyBody::step(os::ThreadContext& ctx) {
     return;
   }
   parked_ = false;
-  current_ = ihk::take_front(queue_, queue_head_);
+  current_ = take_front(queue_, queue_head_);
   phase_ = Phase::kExecuted;
   current_->proxy_start = offloader_.now();
   ctx.invoke(current_->request.no, current_->request.args);
@@ -81,7 +83,7 @@ void SyscallOffloader::offload(os::ThreadId lwk_tid, os::Pid lwk_pid,
   lwk_.simulator().schedule_after(
       lwk_.config().offload_marshal_cost,
       [this] {
-        ihk::IkcMessage next = ihk::take_front(marshalling_, marshalling_head_);
+        ihk::IkcMessage next = take_front(marshalling_, marshalling_head_);
         HPCOS_CHECK_MSG(
             next.offload_start + lwk_.config().offload_marshal_cost == now(),
             "offload marshalled out of order");

@@ -41,7 +41,7 @@ class ProxyBody final : public os::ThreadBody {
   enum class Phase : std::uint8_t { kStart, kParked, kExecuted };
 
   SyscallOffloader& offloader_;
-  // Requests awaiting execution, oldest first (see ihk::take_front).
+  // Requests awaiting execution, oldest first (see common/fifo.h).
   std::vector<ihk::IkcMessage> queue_;
   std::size_t queue_head_ = 0;
   std::optional<ihk::IkcMessage> current_;
@@ -100,7 +100,7 @@ class SyscallOffloader {
   // One per McKernel process, in creation order; a handful at most, so a
   // linear scan beats hashing the pid on every delivery.
   std::vector<Proxy> proxies_;
-  // Requests being marshalled, oldest first (see ihk::take_front). The
+  // Requests being marshalled, oldest first (see common/fifo.h). The
   // marshal event carries only `this` and pops the front: the marshal
   // cost is one constant, so marshal events fire in offload order.
   std::vector<ihk::IkcMessage> marshalling_;

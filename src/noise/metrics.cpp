@@ -28,11 +28,13 @@ NoiseStats finish_stats(std::span<const std::span<const SimTime>> series) {
   double sum = 0.0;
   std::uint64_t n = 0;
   for (auto ts : series) {
+    n += ts.size();
+    if (tmin_ns <= 0.0) continue;
     for (SimTime t : ts) {
-      if (tmin_ns > 0.0) {
-        sum += static_cast<double>((t - s.t_min).count_ns()) / tmin_ns;
-      }
-      ++n;
+      // A quiet iteration (t == T_min) adds +0.0; skipping it leaves the
+      // sum bit-identical, as the sum starts at +0.0 and no term is < 0.
+      if (t == s.t_min) continue;
+      sum += static_cast<double>((t - s.t_min).count_ns()) / tmin_ns;
     }
   }
   // T_min == 0 happens on legitimate traces (a zero-work FWQ quantum in

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/fifo.h"
 #include "obs/live/counters.h"
 
 namespace hpcos::sim {
@@ -27,7 +28,33 @@ EventId Simulator::schedule_at(SimTime t, EventFn fn, const char* tag) {
   if (++s.gen == 0) s.gen = 1;  // keep 0 as the invalid-id marker
   s.fn = std::move(fn);
   s.tag = tag;
-  heap_.push(HeapEntry{t, next_seq_++, slot, s.gen});
+  const Entry entry{t, next_seq_++, slot, s.gen};
+  // A delay with a lane appends to it; a delay that recurs on consecutive
+  // heap pushes claims a free lane; anything else goes to the heap.
+  const SimTime d = t - now_;
+  Lane* lane = nullptr;
+  for (Lane& l : lanes_) {
+    if (l.delay == d) {
+      lane = &l;
+      break;
+    }
+  }
+  if (lane == nullptr && d == last_heap_delay_) {
+    for (Lane& l : lanes_) {
+      if (l.empty()) {
+        l.delay = d;
+        lane = &l;
+        break;
+      }
+    }
+  }
+  if (lane != nullptr) {
+    lane->fifo.push_back(entry);
+    ++telemetry_.lane_pushes;
+  } else {
+    heap_.push(entry);
+    last_heap_delay_ = d;
+  }
   ++live_;
   ++telemetry_.pushes;
   if (live_ > telemetry_.max_depth) telemetry_.max_depth = live_;
@@ -66,32 +93,51 @@ Simulator::TagEntry& Simulator::tag_entry(const char* tag) {
   return tags_.back();
 }
 
-bool Simulator::pop_next(HeapEntry& out, EventFn& fn, const char*& tag) {
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    heap_.pop();
-    Slot& s = slots_[top.slot];
-    HPCOS_CHECK_MSG(s.gen == top.gen, "queue slot reused while pending");
-    free_slots_.push_back(top.slot);
-    if (!s.fn) {
-      ++telemetry_.skipped;  // cancelled; its ghost entry dies here
-      continue;
+std::size_t Simulator::next_queue() {
+  for (;;) {
+    std::size_t q = kNoQueue;
+    const Entry* best = nullptr;
+    if (!heap_.empty()) {
+      q = kHeap;
+      best = &heap_.top();
     }
-    out = top;
-    fn.swap(s.fn);  // leaves the slot empty, ready for reuse
-    tag = s.tag;
-    --live_;
-    return true;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const Lane& l = lanes_[i];
+      if (!l.empty() && (best == nullptr || *best > l.front())) {
+        q = i;
+        best = &l.front();
+      }
+    }
+    if (best == nullptr || slots_[best->slot].fn) return q;
+    pop_front(q);
+    ++telemetry_.skipped;  // cancelled; its ghost entry dies here
   }
-  return false;
 }
 
-bool Simulator::step() {
-  HeapEntry e;
+void Simulator::pop_front(std::size_t q) {
+  const Entry& e = front(q);
+  HPCOS_CHECK_MSG(slots_[e.slot].gen == e.gen,
+                  "queue slot reused while pending");
+  free_slots_.push_back(e.slot);
+  if (q == kHeap) {
+    heap_.pop();
+  } else {
+    take_front(lanes_[q].fifo, lanes_[q].head);
+  }
+}
+
+void Simulator::fire(std::size_t q) {
   EventFn fn;
   const char* tag = nullptr;
-  if (!pop_next(e, fn, tag)) return false;
-  now_ = e.time;
+  {
+    const Entry& e = front(q);
+    Slot& s = slots_[e.slot];
+    fn.swap(s.fn);  // leaves the slot empty, ready for reuse
+    tag = s.tag;
+    now_ = e.time;
+  }
+  pop_front(q);
+  --live_;
   ++executed_;
   ++telemetry_.pops;
   if (obs::live::enabled()) {
@@ -117,23 +163,23 @@ bool Simulator::step() {
     fn();
   }
   if (depth_probe_) depth_probe_(now_, live_);
+}
+
+bool Simulator::step() {
+  const std::size_t q = next_queue();
+  if (q == kNoQueue) return false;
+  fire(q);
   return true;
 }
 
 std::size_t Simulator::run_until(SimTime t_end) {
   HPCOS_CHECK(t_end >= now_);
   std::size_t n = 0;
-  while (!heap_.empty()) {
-    // Peek at the earliest live event without committing to it.
-    const HeapEntry& top = heap_.top();
-    if (!slots_[top.slot].fn) {
-      free_slots_.push_back(top.slot);
-      heap_.pop();
-      ++telemetry_.skipped;
-      continue;
-    }
-    if (top.time > t_end) break;
-    step();
+  for (;;) {
+    // The earliest live event, chosen once and fired only if it is due.
+    const std::size_t q = next_queue();
+    if (q == kNoQueue || front(q).time > t_end) break;
+    fire(q);
     ++n;
   }
   now_ = t_end;
@@ -175,6 +221,7 @@ void Simulator::aggregate(const std::vector<const Simulator*>& parts) {
     telemetry_.cancels += q.cancels;
     telemetry_.skipped += q.skipped;
     telemetry_.max_depth = std::max(telemetry_.max_depth, q.max_depth);
+    telemetry_.lane_pushes += q.lane_pushes;
     for (const TagEntry& t : part->tags_) {
       TagEntry& mine = tag_entry(t.tag);
       mine.fired += t.fired;

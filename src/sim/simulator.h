@@ -8,12 +8,24 @@
 // One simulator drives one node; a DesCluster gives every node its own
 // and steps them concurrently (nodes never exchange events).
 //
-// Queue layout: a binary heap of (time, seq, slot, gen) entries over a
-// slot vector holding the handlers, with a free list of slots. An EventId
-// is {slot, gen}: cancel() checks the generation and empties the slot,
-// leaving a ghost heap entry that is discarded (and its slot recycled)
-// when it reaches the top. A slot is therefore reused only after its one
-// heap entry has popped, so a stale id can never cancel a later event.
+// Queue layout: every pending event is a (time, seq, slot, gen) entry
+// pointing into a slot vector that holds the handlers, with a free list of
+// slots. An entry waits either in a binary heap or in one of kLanes FIFO
+// lanes. A lane serves one push delay `d = t - now()`: a delay claims a
+// lane when it recurs (two consecutive heap pushes with the same d) and a
+// lane is free; later pushes with that d append to the lane, everything
+// else goes to the heap. Lanes are head-indexed vectors (common/fifo.h), so
+// a warm queue allocates nothing. Because now() never decreases and seq strictly
+// increases, the entries of one lane are already sorted by (time, seq), so
+// the earliest of the heap top and the lane heads is the global minimum:
+// pop order, EventIds, slot reuse, ghost skipping and every telemetry
+// counter are exactly those of a single heap. Periodic work (a compute
+// quantum re-armed with schedule_after) thus costs O(1) per event instead
+// of a heap sift. An EventId is {slot, gen}: cancel() checks the
+// generation and empties the slot, leaving a ghost entry that is discarded
+// (and its slot recycled) when it becomes the earliest. A slot is
+// therefore reused only after its one entry has popped, so a stale id can
+// never cancel a later event.
 // Steady-state scheduling allocates nothing in the queue itself. A handler
 // allocates unless its closure fits std::function's 16-byte inline buffer
 // and is trivially copyable: capture at most two pointer-sized values
@@ -23,7 +35,7 @@
 // allocations.
 //
 // Self-observability (see EXPERIMENTS.md "Profiling the simulator"):
-//   * queue_telemetry() — always-on push/pop/cancel/max-depth counters
+//   * queue_telemetry() — always-on push/pop/cancel/max-depth/lane counters
 //     (plain single-writer increments; cost is in the noise).
 //   * set_depth_probe() — optional queue-depth hook invoked after every
 //     push and every executed event; tools feed it into an
@@ -37,6 +49,7 @@
 //     profiler is disabled (one branch per event).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -64,8 +77,9 @@ struct QueueTelemetry {
   std::uint64_t pushes = 0;      // schedule_at/schedule_after calls
   std::uint64_t pops = 0;        // live events popped and fired
   std::uint64_t cancels = 0;     // successful cancel() calls
-  std::uint64_t skipped = 0;     // cancelled heap entries discarded on pop
+  std::uint64_t skipped = 0;     // cancelled entries discarded on pop
   std::size_t max_depth = 0;     // peak pending-event count
+  std::uint64_t lane_pushes = 0; // pushes that went to a FIFO lane
 };
 
 // Per-tag host-time attribution, populated only while obs::prof is
@@ -131,18 +145,32 @@ class Simulator {
   void aggregate(const std::vector<const Simulator*>& parts);
 
  private:
-  struct HeapEntry {
+  struct Entry {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t gen;
-    bool operator>(const HeapEntry& o) const {
+    bool operator>(const Entry& o) const {
       if (time != o.time) return time > o.time;
       return seq > o.seq;
     }
   };
 
-  // A handler waiting in the heap. `fn` is empty while the slot is free,
+  // A FIFO of entries pushed with one delay: fifo[head..] are pending,
+  // earliest first. `delay` stays assigned while the lane is empty, so a
+  // recurring delay keeps its lane; it is negative until first claimed.
+  struct Lane {
+    SimTime delay = SimTime::ns(-1);
+    std::vector<Entry> fifo;
+    std::size_t head = 0;
+    bool empty() const { return head == fifo.size(); }
+    const Entry& front() const { return fifo[head]; }
+  };
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kHeap = kLanes;     // next_queue(): the heap
+  static constexpr std::size_t kNoQueue = kLanes + 1;  // nothing pending
+
+  // A handler waiting in the queue. `fn` is empty while the slot is free,
   // after its event fired, or after it was cancelled.
   struct Slot {
     EventFn fn;
@@ -161,17 +189,23 @@ class Simulator {
   };
   TagEntry& tag_entry(const char* tag);
 
-  // Pops the next live event, moving its handler into `fn`; discards
-  // cancelled entries. Every popped entry's slot goes back on the free
-  // list.
-  bool pop_next(HeapEntry& out, EventFn& fn, const char*& tag);
+  // The queue (a lane index or kHeap) whose front is the earliest live
+  // entry, or kNoQueue. Cancelled entries met on the way are discarded.
+  std::size_t next_queue();
+  const Entry& front(std::size_t q) const {
+    return q == kHeap ? heap_.top() : lanes_[q].front();
+  }
+  // Removes the front entry of queue `q`; its slot goes on the free list.
+  void pop_front(std::size_t q);
+  // Pops the live front of queue `q` and runs its handler at its time.
+  void fire(std::size_t q);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                      std::greater<HeapEntry>>
-      heap_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::array<Lane, kLanes> lanes_;
+  SimTime last_heap_delay_ = SimTime::ns(-1);  // delay of the last heap push
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;  // scheduled, not yet fired or cancelled

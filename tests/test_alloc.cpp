@@ -3,9 +3,10 @@
 // Once warm, a node's per-event work must not touch the heap: every
 // handler closure fits std::function's inline buffer, the thread table is
 // a vector, and IKC payloads wait in a reusing FIFO (see sim/simulator.h).
-// Each check warms up first (queue slots, FIFO storage and scheduler
-// containers reach their steady-state capacity), then counts operator new
-// calls over a measured window that contains no gtest assertions.
+// Each check warms up first (queue slots, lanes, FIFO storage and
+// scheduler containers reach their steady-state capacity), then counts
+// operator new calls over a measured window that contains no gtest
+// assertions.
 #include <gtest/gtest.h>
 
 #include "alloc_counter.h"
@@ -41,6 +42,53 @@ TEST(ZeroAlloc, ComputeLoopOnEveryApplicationCore) {
 
   // One os.burst.done per quantum per core: 6 cores x 2900 quanta.
   EXPECT_GE(events, 10'000u);
+  EXPECT_EQ(allocs, 0u);
+}
+
+// A sleeper waking on the core it is pinned to: the scheduler's sticky
+// path tests the affinity in place, and its queues keep no side index.
+std::uint64_t sleep_wake_allocations(sim::Simulator& sim,
+                                     os::NodeKernel& kernel,
+                                     hw::CpuSet affinity,
+                                     std::uint64_t& wakeups) {
+  test::spawn_script(
+      kernel,
+      [&wakeups](os::ThreadContext& ctx) {
+        // Alternate a short burst with a sleep: one wakeup per cycle.
+        if (++wakeups % 2 == 0) {
+          ctx.sleep_for(SimTime::us(50));
+        } else {
+          ctx.compute(SimTime::us(10));
+        }
+        return true;
+      },
+      os::SpawnAttrs{.affinity = std::move(affinity)});
+  // Warm-up past 1 s: until the first residual 1 Hz tick expires, the
+  // ghosts of re-armed ones pile up in the queue and grow it.
+  sim.run_until(sim.now() + 1'100_ms);
+
+  const std::uint64_t allocs0 = test::allocation_count();
+  sim.run_until(sim.now() + 100_ms);
+  return test::allocation_count() - allocs0;
+}
+
+TEST(ZeroAlloc, SleepWakeOfPinnedLinuxThread) {
+  test::LinuxNode node;
+  node.trace = sim::TraceBuffer();
+  std::uint64_t steps = 0;
+  const std::uint64_t allocs = sleep_wake_allocations(
+      node.sim, *node.kernel, test::one_core(node.topo, 3), steps);
+  EXPECT_GE(steps, 30'000u);  // 60 us per cycle over 1.2 s
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(ZeroAlloc, SleepWakeOfPinnedLwkThread) {
+  test::MultiKernelNode node;
+  node.trace = sim::TraceBuffer();
+  std::uint64_t steps = 0;
+  const std::uint64_t allocs = sleep_wake_allocations(
+      node.sim, *node.lwk, test::one_core(node.topo, 4), steps);
+  EXPECT_GE(steps, 30'000u);
   EXPECT_EQ(allocs, 0u);
 }
 

@@ -46,6 +46,88 @@ TEST(CpuSet, ToStringUsesRanges) {
   EXPECT_EQ(CpuSet(8).to_string(), "");
 }
 
+// Capacities around the 64-bit word size, up to a KNL node's 272 logical
+// cores: bits past capacity must stay clear and scans must cross words.
+TEST(CpuSet, WordBoundaryCapacities) {
+  for (std::size_t n : {63u, 64u, 65u, 128u, 272u}) {
+    SCOPED_TRACE(n);
+    const auto last = static_cast<CoreId>(n - 1);
+    const CpuSet all = CpuSet::all(n);
+    EXPECT_EQ(all.capacity(), n);
+    EXPECT_EQ(all.count(), n);
+    EXPECT_EQ(all.first(), 0);
+    EXPECT_EQ(all.next(last - 1), last);
+    EXPECT_EQ(all.next(last), kInvalidCore);
+    EXPECT_TRUE(all.test(last));
+    EXPECT_FALSE(all.test(last + 1));
+    EXPECT_EQ(all.to_string(), "0-" + std::to_string(last));
+    EXPECT_EQ(all, CpuSet::range(n, 0, last));
+
+    CpuSet s(n);
+    EXPECT_TRUE(s.empty());
+    EXPECT_FALSE(s.any());
+    EXPECT_EQ(s.first(), kInvalidCore);
+    s.set(last);
+    EXPECT_EQ(s.first(), last);
+    EXPECT_EQ(s.count(), 1u);
+    EXPECT_THROW(s.set(last + 1), SimError);
+    s.set(last, false);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(all.minus(CpuSet::all(n)), CpuSet(n));
+  }
+}
+
+TEST(CpuSet, NextCrossesWordBoundaries) {
+  const CpuSet s = CpuSet::of(272, {0, 63, 64, 127, 200, 271});
+  EXPECT_EQ(s.to_vector(), (std::vector<CoreId>{0, 63, 64, 127, 200, 271}));
+  EXPECT_EQ(s.next(0), 63);
+  EXPECT_EQ(s.next(63), 64);
+  EXPECT_EQ(s.next(64), 127);
+  EXPECT_EQ(s.next(127), 200);  // skips the empty word 128..191
+  EXPECT_EQ(s.next(200), 271);
+  EXPECT_EQ(s.next(271), kInvalidCore);
+  EXPECT_EQ(s.next(1000), kInvalidCore);
+  EXPECT_EQ(s.to_string(), "0,63-64,127,200,271");
+  EXPECT_EQ(CpuSet::range(130, 62, 129).to_string(), "62-129");
+  EXPECT_EQ(CpuSet::of(65, {64}).to_string(), "64");
+}
+
+TEST(CpuSet, MismatchedCapacities) {
+  const CpuSet small = CpuSet::of(64, {1, 63});
+  const CpuSet big = CpuSet::of(272, {1, 64, 200});
+  // & and | take the larger capacity; absent cores read as clear.
+  EXPECT_EQ(small & big, CpuSet::of(272, {1}));
+  EXPECT_EQ(big & small, CpuSet::of(272, {1}));
+  EXPECT_EQ(small | big, CpuSet::of(272, {1, 63, 64, 200}));
+  EXPECT_EQ(big | small, CpuSet::of(272, {1, 63, 64, 200}));
+  // minus keeps the left operand's capacity.
+  EXPECT_EQ(small.minus(big), CpuSet::of(64, {63}));
+  EXPECT_EQ(big.minus(small), CpuSet::of(272, {64, 200}));
+  EXPECT_TRUE(small.intersects(big));
+  EXPECT_TRUE(big.intersects(small));
+  EXPECT_FALSE(CpuSet::of(64, {63}).intersects(big));
+  // A core beyond the smaller capacity is never contained in it.
+  EXPECT_TRUE(big.contains(CpuSet::of(64, {1})));
+  EXPECT_FALSE(small.contains(CpuSet::of(272, {1, 64})));
+  EXPECT_TRUE(small.contains(CpuSet::of(272, {1})));
+  EXPECT_TRUE(CpuSet::all(272).contains(CpuSet::all(65)));
+  EXPECT_FALSE(CpuSet::all(64).contains(CpuSet::all(65)));
+  EXPECT_TRUE(CpuSet(0).contains(CpuSet(272)));
+}
+
+TEST(CpuSet, EqualityIncludesCapacity) {
+  EXPECT_EQ(CpuSet::of(65, {3}), CpuSet::of(65, {3}));
+  EXPECT_NE(CpuSet::of(64, {3}), CpuSet::of(65, {3}));
+  EXPECT_NE(CpuSet(64), CpuSet(65));
+  EXPECT_NE(CpuSet::of(128, {3}), CpuSet::of(128, {3, 64}));
+  CpuSet s = CpuSet::of(128, {64});
+  s.set(64, false);
+  EXPECT_EQ(s, CpuSet(128));
+  s = CpuSet::all(128);
+  s.clear();
+  EXPECT_EQ(s, CpuSet(128));
+}
+
 TEST(Topology, SmtSiblingsFollowLinuxNumbering) {
   NodeTopology knl("KNL", 68, 4);
   EXPECT_EQ(knl.logical_cores(), 272);

@@ -1,6 +1,7 @@
 // Unit tests: IHK resource partitioning, OS instance lifecycle, IKC.
 #include <gtest/gtest.h>
 
+#include "common/fifo.h"
 #include "ihk/ihk.h"
 #include "kernel_test_util.h"
 
@@ -166,18 +167,18 @@ TEST(IkcFifo, TakeFrontKeepsOrderAcrossCompaction) {
     push();
     push();
     for (int k = 0; k < 2; ++k) {
-      EXPECT_EQ(ihk::take_front(fifo, head).request.args.arg0, next_out++);
+      EXPECT_EQ(take_front(fifo, head).request.args.arg0, next_out++);
     }
     ASSERT_EQ(fifo.size() - head, 10u);
     ASSERT_LT(fifo.size(), 200u);
   }
   while (head < fifo.size()) {
-    EXPECT_EQ(ihk::take_front(fifo, head).request.args.arg0, next_out++);
+    EXPECT_EQ(take_front(fifo, head).request.args.arg0, next_out++);
   }
   EXPECT_EQ(next_out, next_in);
   EXPECT_TRUE(fifo.empty());
   EXPECT_EQ(head, 0u);
-  EXPECT_THROW(ihk::take_front(fifo, head), SimError);
+  EXPECT_THROW(take_front(fifo, head), SimError);
 }
 
 TEST_F(IhkTest, IkcWithoutReceiverFails) {

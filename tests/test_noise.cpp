@@ -3,7 +3,9 @@
 // DES-vs-analytic consistency.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <random>
 
 #include "kernel_test_util.h"
 #include "noise/analytic.h"
@@ -46,6 +48,50 @@ TEST(Metrics, ZeroLengthIterationsYieldZeroRate) {
   EXPECT_EQ(m.max_noise_length, 1_ms);
   EXPECT_DOUBLE_EQ(m.noise_rate, 0.0);
   EXPECT_EQ(m.samples, 2u);
+}
+
+// compute_noise_stats skips quiet iterations (t == T_min); on traces that
+// are mostly such zero terms the rate must equal the plain Eq. 2 sum bit
+// for bit.
+TEST(Metrics, NoiseRateSkippingZeroTermsIsBitIdentical) {
+  std::mt19937_64 rng(2021);
+  for (int trial = 0; trial < 20; ++trial) {
+    const SimTime t_min = SimTime::ns(6'500'000 + trial * 997);
+    std::vector<FwqTrace> traces(1 + trial % 4);
+    for (FwqTrace& tr : traces) {
+      tr.iteration_times.resize(500 + 37 * static_cast<std::size_t>(trial));
+      for (SimTime& t : tr.iteration_times) {
+        // One iteration in ~16 sees noise; the rest are exactly T_min.
+        t = rng() % 16 == 0
+                ? t_min + SimTime::ns(static_cast<std::int64_t>(
+                              1 + rng() % 300'000))
+                : t_min;
+      }
+    }
+    traces.front().iteration_times.front() = t_min;
+
+    double sum = 0.0;
+    std::uint64_t n = 0;
+    const double tmin_ns = static_cast<double>(t_min.count_ns());
+    for (const FwqTrace& tr : traces) {
+      for (SimTime t : tr.iteration_times) {
+        sum += static_cast<double>((t - t_min).count_ns()) / tmin_ns;
+        ++n;
+      }
+    }
+    const double want = sum / static_cast<double>(n);
+
+    const NoiseStats s = compute_noise_stats(traces);
+    EXPECT_EQ(s.t_min, t_min);
+    EXPECT_EQ(s.samples, n);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.noise_rate),
+              std::bit_cast<std::uint64_t>(want))
+        << "trial " << trial;
+  }
+  // An all-quiet trace sums to exactly +0.0.
+  const std::vector<SimTime> quiet(64, 6_ms);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(compute_noise_stats(quiet).noise_rate),
+            std::bit_cast<std::uint64_t>(0.0));
 }
 
 TEST(Metrics, NoiseLengthSeries) {

@@ -208,9 +208,9 @@ int main(int argc, char** argv) {
   const sim::QueueTelemetry& qt = node->simulator().queue_telemetry();
   print_banner(std::cout, "DES event queue (multi-kernel node, " +
                               TextTable::fmt(des_until.to_ms(), 0) + " ms)");
-  TextTable queue_table({"pushes", "pops", "cancels", "skipped", "max depth",
-                         "mean depth"});
-  for (std::size_t c = 0; c < 6; ++c) queue_table.set_align(c, Align::kRight);
+  TextTable queue_table({"pushes", "lane pushes", "pops", "cancels", "skipped",
+                         "max depth", "mean depth"});
+  for (std::size_t c = 0; c < 7; ++c) queue_table.set_align(c, Align::kRight);
   const double mean_depth =
       depth_series.total_count() > 0
           ? depth_series.total_sum() /
@@ -218,6 +218,7 @@ int main(int argc, char** argv) {
           : 0.0;
   queue_table.add_row(
       {TextTable::fmt_int(static_cast<long long>(qt.pushes)),
+       TextTable::fmt_int(static_cast<long long>(qt.lane_pushes)),
        TextTable::fmt_int(static_cast<long long>(qt.pops)),
        TextTable::fmt_int(static_cast<long long>(qt.cancels)),
        TextTable::fmt_int(static_cast<long long>(qt.skipped)),
