@@ -39,8 +39,8 @@ noise::NoiseStats run_config(const std::string& label,
   // the paper's aggregated plot does).
   std::vector<SimTime> all;
   for (const auto& t : traces) {
-    all.insert(all.end(), t.iteration_times.begin(),
-               t.iteration_times.end());
+    const std::vector<SimTime> times = t.times();
+    all.insert(all.end(), times.begin(), times.end());
   }
   const auto lengths = noise::noise_lengths(all);
 

@@ -471,11 +471,14 @@ FwqCampaignResult fwq_result_from_traces(
     const std::vector<noise::FwqTrace>& traces) {
   FwqCampaignResult result;
   result.stats = noise::compute_noise_stats(traces);
+  // Bin counts, min and max do not depend on insertion order, so the
+  // quiet iterations go in as one weighted add per trace.
   for (const auto& t : traces) {
-    for (const SimTime it : t.iteration_times) {
-      result.cdf.add(it.to_us());
-      ++result.total_iterations;
+    result.cdf.add_n(t.base().to_us(), t.quiet());
+    for (const noise::FwqTrace::Sample& d : t.disturbed()) {
+      result.cdf.add(d.time.to_us());
     }
+    result.total_iterations += t.size();
   }
   return result;
 }

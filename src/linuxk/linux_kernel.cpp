@@ -250,8 +250,8 @@ os::NodeKernel::SyscallDisposition LinuxKernel::do_mmap(
   SyscallDisposition d;
   d.service_time = config_.syscalls.get(os::Syscall::kMmap);
   if (policy == os::PagingPolicy::kPrePopulate) {
-    const auto it = proc.address_space.areas().find(addr);
-    const std::uint64_t faults = it->second.populated_pages;
+    const std::uint64_t faults =
+        proc.address_space.find(addr)->populated_pages;
     const SimTime per_fault = page == config_.base_page_size
                                   ? costs().page_fault_base
                                   : costs().page_fault_large;
@@ -495,10 +495,10 @@ void LinuxKernel::on_thread_exit(os::Thread& thread) {
   // "process termination" TLB flush storm of §4.2.2.
   std::uint64_t flushes = 0;
   std::uint64_t bytes = 0;
-  for (const auto& [addr, area] : proc.address_space.areas()) {
+  for (const os::VmArea& area : proc.address_space.areas()) {
     flushes += area.populated_pages;
     bytes += area.length;
-    if (auto it = hugetlb_backing_.find({proc.pid, addr});
+    if (auto it = hugetlb_backing_.find({proc.pid, area.start});
         it != hugetlb_backing_.end()) {
       hugetlbfs_.release(it->second, cgroups_.memory_cgroup_of(proc.pid));
       hugetlb_backing_.erase(it);

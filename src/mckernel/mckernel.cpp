@@ -214,8 +214,8 @@ os::NodeKernel::SyscallDisposition McKernel::do_mmap(
   const std::uint64_t addr =
       proc.address_space.map(length, page, proc.attrs.paging);
   if (proc.attrs.paging == os::PagingPolicy::kPrePopulate) {
-    const auto it = proc.address_space.areas().find(addr);
-    const std::uint64_t faults = it->second.populated_pages;
+    const std::uint64_t faults =
+        proc.address_space.find(addr)->populated_pages;
     const SimTime cost =
         config_.page_fault_cost * static_cast<std::int64_t>(faults);
     d.service_time += cost;
@@ -302,7 +302,7 @@ void McKernel::on_thread_exit(os::Thread& thread) {
   // LWK teardown: physical memory goes back to the LWK allocator with a
   // local flush only — no chip-wide storm.
   std::uint64_t pages = 0;
-  for (const auto& [_, area] : proc.address_space.areas()) {
+  for (const os::VmArea& area : proc.address_space.areas()) {
     pages += area.populated_pages;
   }
   process_pool_.erase(proc.pid);

@@ -4,19 +4,24 @@
 
 namespace hpcos::noise {
 
+std::vector<SimTime> FwqTrace::times() const {
+  std::vector<SimTime> out(samples_, base_);
+  for (const Sample& d : disturbed_) out[d.index] = d.time;
+  return out;
+}
+
 FwqThread::FwqThread(FwqConfig config) : config_(config) {
   HPCOS_CHECK(config_.work_quantum > SimTime::zero());
   HPCOS_CHECK(config_.iterations > 0);
-  trace_.iteration_times.reserve(config_.iterations);
 }
 
 void FwqThread::step(os::ThreadContext& ctx) {
   if (started_) {
     // Previous quantum completed: the measured iteration time is wall time,
     // not work time — noise shows up as the difference.
-    trace_.iteration_times.push_back(ctx.now() - iter_start_);
+    trace_.record(ctx.now() - iter_start_);
   } else {
-    trace_.core = ctx.core();
+    trace_ = FwqTrace(ctx.core(), config_.work_quantum);
     started_ = true;
   }
   if (iter_ >= config_.iterations) {

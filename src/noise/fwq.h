@@ -22,10 +22,46 @@ struct FwqConfig {
   std::uint64_t iterations = 1000;
 };
 
-// Per-thread iteration timings, in the order measured.
-struct FwqTrace {
-  hw::CoreId core = hw::kInvalidCore;
-  std::vector<SimTime> iteration_times;
+// One thread's iteration timings, in the order measured, stored sparsely.
+// Almost every FWQ iteration takes exactly the work quantum, so the trace
+// keeps that base time, the sample count and only the iterations whose
+// time differs from it: O(disturbed iterations) memory instead of
+// O(iterations). The form is lossless; times() expands it back to the
+// dense series.
+class FwqTrace {
+ public:
+  // A disturbed iteration: its position in the series and its time.
+  struct Sample {
+    std::uint64_t index = 0;
+    SimTime time;
+    bool operator==(const Sample&) const = default;
+  };
+
+  FwqTrace() = default;
+  FwqTrace(hw::CoreId core, SimTime base) : core_(core), base_(base) {}
+
+  // Append the next iteration's time.
+  void record(SimTime t) {
+    if (t != base_) disturbed_.push_back(Sample{samples_, t});
+    ++samples_;
+  }
+
+  hw::CoreId core() const { return core_; }
+  SimTime base() const { return base_; }
+  std::uint64_t size() const { return samples_; }
+  // Iterations that took exactly base(): size() - disturbed().size().
+  std::uint64_t quiet() const { return samples_ - disturbed_.size(); }
+  // Iterations whose time differs from base(), by ascending index.
+  const std::vector<Sample>& disturbed() const { return disturbed_; }
+
+  // The dense series: size() times, base() except where disturbed.
+  std::vector<SimTime> times() const;
+
+ private:
+  hw::CoreId core_ = hw::kInvalidCore;
+  SimTime base_;
+  std::uint64_t samples_ = 0;
+  std::vector<Sample> disturbed_;
 };
 
 // The FWQ loop as a thread body. Timestamps come from the simulated clock,
@@ -39,7 +75,7 @@ class FwqThread final : public os::ThreadBody {
 
   bool finished() const { return finished_; }
   const FwqTrace& trace() const { return trace_; }
-  // Move the trace out (once, after finished()); trace() is empty after.
+  // Move the trace out (once, after finished()).
   FwqTrace take_trace() { return std::move(trace_); }
 
  private:

@@ -28,7 +28,9 @@ struct NoiseStats {
 NoiseStats compute_noise_stats(std::span<const SimTime> iteration_times);
 
 // Stats over many traces, using the global minimum as T_min (how the paper
-// aggregates multi-core / multi-node FWQ data).
+// aggregates multi-core / multi-node FWQ data). Bit-identical to the span
+// overload over the concatenated dense series; the cost is O(disturbed
+// iterations) when every trace's base is T_min, the usual case.
 NoiseStats compute_noise_stats(const std::vector<FwqTrace>& traces);
 
 // Noise length series L_i = T_i - T_min for time-series plots (Figure 3).

@@ -38,15 +38,33 @@ std::uint64_t AddressSpace::map(std::uint64_t length, hw::PageSize page_size,
     area.populated_pages = area.total_pages();
   }
   next_addr_ += area.total_pages() * page;
-  areas_.emplace(start, area);
+  areas_.push_back(area);
   return start;
+}
+
+namespace {
+
+// The area of the sorted `areas` that starts at `start`, or areas.end().
+template <typename Areas>
+auto area_starting_at(Areas& areas, std::uint64_t start) {
+  const auto it = std::lower_bound(
+      areas.begin(), areas.end(), start,
+      [](const VmArea& a, std::uint64_t s) { return a.start < s; });
+  return it != areas.end() && it->start == start ? it : areas.end();
+}
+
+}  // namespace
+
+const VmArea* AddressSpace::find(std::uint64_t start) const {
+  const auto it = area_starting_at(areas_, start);
+  return it == areas_.end() ? nullptr : &*it;
 }
 
 AddressSpace::UnmapResult AddressSpace::unmap(std::uint64_t start,
                                               std::uint64_t length) {
-  auto it = areas_.find(start);
+  const auto it = area_starting_at(areas_, start);
   HPCOS_CHECK_MSG(it != areas_.end(), "unmap: not an area start");
-  VmArea& area = it->second;
+  VmArea& area = *it;
   HPCOS_CHECK_MSG(length <= area.length, "unmap: length exceeds area");
 
   const std::uint64_t page = hw::bytes(area.page_size);
@@ -63,12 +81,11 @@ AddressSpace::UnmapResult AddressSpace::unmap(std::uint64_t start,
   if (pages_removed >= area.total_pages()) {
     areas_.erase(it);
   } else {
-    VmArea rest = area;
-    rest.start += pages_removed * page;
-    rest.length -= pages_removed * page;
-    rest.populated_pages = area.populated_pages - resident_removed;
-    areas_.erase(it);
-    areas_.emplace(rest.start, rest);
+    // The remainder keeps its place in the order: it still starts below
+    // the next area.
+    area.start += pages_removed * page;
+    area.length -= pages_removed * page;
+    area.populated_pages -= resident_removed;
   }
   return r;
 }
@@ -80,10 +97,12 @@ std::uint64_t AddressSpace::touch(std::uint64_t addr, std::uint64_t length) {
 FaultBatch AddressSpace::touch_batch(std::uint64_t addr,
                                      std::uint64_t length) {
   // Find the area containing addr: last area with start <= addr.
-  auto it = areas_.upper_bound(addr);
+  auto it = std::upper_bound(
+      areas_.begin(), areas_.end(), addr,
+      [](std::uint64_t a, const VmArea& area) { return a < area.start; });
   HPCOS_CHECK_MSG(it != areas_.begin(), "touch: unmapped address");
   --it;
-  VmArea& area = it->second;
+  VmArea& area = *it;
   HPCOS_CHECK_MSG(addr >= area.start && addr < area.start + area.length,
                   "touch: unmapped address");
   FaultBatch batch{.faults = 0, .page_size = area.page_size};
@@ -100,13 +119,13 @@ FaultBatch AddressSpace::touch_batch(std::uint64_t addr,
 
 std::uint64_t AddressSpace::mapped_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [_, a] : areas_) total += a.length;
+  for (const VmArea& a : areas_) total += a.length;
   return total;
 }
 
 std::uint64_t AddressSpace::resident_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [_, a] : areas_) total += a.resident_bytes();
+  for (const VmArea& a : areas_) total += a.resident_bytes();
   return total;
 }
 

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "hw/tlb.h"
 
@@ -90,10 +90,15 @@ class AddressSpace {
   std::uint64_t mapped_bytes() const;
   std::uint64_t resident_bytes() const;
   std::size_t area_count() const { return areas_.size(); }
-  const std::map<std::uint64_t, VmArea>& areas() const { return areas_; }
+  // Every area, by ascending start address.
+  const std::vector<VmArea>& areas() const { return areas_; }
+  // The area that starts at `start`, or nullptr.
+  const VmArea* find(std::uint64_t start) const;
 
  private:
-  std::map<std::uint64_t, VmArea> areas_;  // keyed by start address
+  // Sorted by start. map() hands out ascending addresses, so it appends;
+  // a warm map/unmap loop reuses the vector's storage and never allocates.
+  std::vector<VmArea> areas_;
   std::uint64_t next_addr_;
 };
 

@@ -92,6 +92,57 @@ TEST(ZeroAlloc, SleepWakeOfPinnedLwkThread) {
   EXPECT_EQ(allocs, 0u);
 }
 
+// A pinned thread mapping and unmapping 2 MiB in a loop, like the
+// multi-kernel offload benchmark's threads: the address space keeps its
+// areas in a vector whose storage the loop reuses.
+std::uint64_t map_unmap_allocations(sim::Simulator& sim,
+                                    os::NodeKernel& kernel,
+                                    hw::CpuSet affinity,
+                                    std::uint64_t& unmaps) {
+  test::spawn_script(
+      kernel,
+      [&unmaps, mapped = false](os::ThreadContext& ctx) mutable {
+        constexpr std::uint64_t kBytes = 2ull << 20;
+        if (mapped) {
+          const auto addr =
+              static_cast<std::uint64_t>(ctx.last_syscall().value);
+          ctx.invoke(os::Syscall::kMunmap,
+                     os::SyscallArgs{.arg0 = addr, .arg1 = kBytes});
+          ++unmaps;
+        } else {
+          ctx.invoke(os::Syscall::kMmap, os::SyscallArgs{.arg0 = kBytes});
+        }
+        mapped = !mapped;
+        return true;
+      },
+      os::SpawnAttrs{.affinity = std::move(affinity)});
+  sim.run_until(sim.now() + 1'100_ms);  // warm-up, as for sleep/wake
+
+  const std::uint64_t allocs0 = test::allocation_count();
+  sim.run_until(sim.now() + 100_ms);
+  return test::allocation_count() - allocs0;
+}
+
+TEST(ZeroAlloc, MapUnmapLoopOnLwk) {
+  test::MultiKernelNode node;
+  node.trace = sim::TraceBuffer();
+  std::uint64_t unmaps = 0;
+  const std::uint64_t allocs = map_unmap_allocations(
+      node.sim, *node.lwk, test::one_core(node.topo, 4), unmaps);
+  EXPECT_GE(unmaps, 1'000u);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(ZeroAlloc, MapUnmapLoopOnLinux) {
+  test::LinuxNode node;
+  node.trace = sim::TraceBuffer();
+  std::uint64_t unmaps = 0;
+  const std::uint64_t allocs = map_unmap_allocations(
+      node.sim, *node.kernel, test::one_core(node.topo, 3), unmaps);
+  EXPECT_GE(unmaps, 1'000u);
+  EXPECT_EQ(allocs, 0u);
+}
+
 TEST(ZeroAlloc, IkcPingPong) {
   sim::Simulator sim;
   ihk::IkcChannel ping(sim, "ping", SimTime::us(1));

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cluster/des_cluster.h"
+#include "common/confighash.h"
 #include "kernel_test_util.h"
 #include "noise/metrics.h"
 #include "noise/profiles.h"
@@ -61,15 +62,48 @@ void expect_nodes_match_standalone(bool multikernel) {
     const auto& mine = traces[static_cast<std::size_t>(n)];
     ASSERT_EQ(mine.size(), alone.size()) << "node " << n;
     for (std::size_t c = 0; c < alone.size(); ++c) {
-      EXPECT_EQ(mine[c].core, alone[c].core);
-      EXPECT_EQ(mine[c].iteration_times, alone[c].iteration_times)
-          << "node " << n << " core " << mine[c].core;
+      EXPECT_EQ(mine[c].core(), alone[c].core());
+      EXPECT_EQ(mine[c].times(), alone[c].times())
+          << "node " << n << " core " << mine[c].core();
     }
     // Each node stops at the event that finishes its own FWQ.
     EXPECT_EQ(cluster->node(n).simulator().events_executed(),
               node->simulator().events_executed());
     EXPECT_EQ(cluster->node(n).simulator().now(), node->simulator().now());
   }
+}
+
+// Losslessness witness for the sparse FwqTrace: the expanded traces of a
+// small seeded run (daemons unbound, so about 1.7 % of the iterations are
+// disturbed) hash to the digest that the dense representation, one
+// SimTime per iteration, produced for the same run.
+TEST(DesCluster, PerNodeExpandedTracesMatchDenseDigest) {
+  const auto platform = hw::make_fugaku_testbed_platform();
+  auto cfg = linuxk::make_fugaku_linux_config(
+      platform, noise::Countermeasures{.bind_daemons = false});
+  cfg.profile = noise::strip_population_tails(cfg.profile);
+  DesCluster cluster(2, platform, cfg,
+                     DesCluster::Options{.seed = Seed{2021}});
+  noise::FwqConfig fwq;
+  fwq.iterations = 400;
+  const auto per_node = cluster.run_fwq_all(fwq);
+
+  std::uint64_t h = fnv1a64("");
+  std::uint64_t samples = 0;
+  std::uint64_t disturbed = 0;
+  for (const auto& traces : per_node) {
+    for (const noise::FwqTrace& t : traces) {
+      h = fnv1a64(std::to_string(t.core()) + ":", h);
+      for (const SimTime it : t.times()) {
+        h = fnv1a64(std::to_string(it.count_ns()) + ",", h);
+      }
+      samples += t.size();
+      disturbed += t.disturbed().size();
+    }
+  }
+  EXPECT_EQ(samples, 2u * 48u * 400u);
+  EXPECT_EQ(disturbed, 668u);
+  EXPECT_EQ(h, 0x92e2844b3098a566ull);
 }
 
 TEST(DesCluster, PerNodeLinuxTracesMatchStandaloneNodes) {
@@ -142,8 +176,8 @@ TEST(DesCluster, FwqRunsOnEveryCoreOfEveryNode) {
   for (const auto& per_node : traces) {
     ASSERT_EQ(per_node.size(), 48u);  // all application cores
     for (const auto& t : per_node) {
-      EXPECT_EQ(t.iteration_times.size(), 50u);
-      for (const SimTime it : t.iteration_times) EXPECT_GE(it, 1_ms);
+      EXPECT_EQ(t.size(), 50u);
+      for (const SimTime it : t.times()) EXPECT_GE(it, 1_ms);
     }
   }
 }
@@ -161,12 +195,12 @@ TEST(DesCluster, NodeNoiseIsIndependentButSeeded) {
   const auto b = run(7);
   // Reproducible across identically-seeded clusters...
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a[0][0].iteration_times, b[0][0].iteration_times);
-  EXPECT_EQ(a[1][5].iteration_times, b[1][5].iteration_times);
+  EXPECT_EQ(a[0][0].times(), b[0][0].times());
+  EXPECT_EQ(a[1][5].times(), b[1][5].times());
   // ...but the two nodes inside one cluster see different noise.
   const auto s0 = noise::compute_noise_stats(a[0]);
   const auto s1 = noise::compute_noise_stats(a[1]);
-  bool identical = a[0][0].iteration_times == a[1][0].iteration_times;
+  bool identical = a[0][0].times() == a[1][0].times();
   EXPECT_FALSE(identical);
   EXPECT_GT(s0.samples, 0u);
   EXPECT_GT(s1.samples, 0u);

@@ -187,7 +187,7 @@ TEST(Integration, MultiKernelFwqIsDeterministicPerSeed) {
         node->app_kernel(), node->topology().application_cores(), fwq);
     std::vector<std::int64_t> flat;
     for (const auto& t : traces) {
-      for (const SimTime it : t.iteration_times) {
+      for (const SimTime it : t.times()) {
         flat.push_back(it.count_ns());
       }
     }

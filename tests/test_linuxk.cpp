@@ -271,10 +271,8 @@ TEST(LinuxMm, ThpPromotesLargeRegions) {
   node.sim.run_until(1_s);
   const auto& areas = node.kernel->process(pid).address_space.areas();
   ASSERT_EQ(areas.size(), 2u);
-  auto it = areas.begin();
-  EXPECT_EQ(it->second.page_size, hw::PageSize::k2M);   // THP
-  ++it;
-  EXPECT_EQ(it->second.page_size, hw::PageSize::k4K);   // too small
+  EXPECT_EQ(areas[0].page_size, hw::PageSize::k2M);  // THP
+  EXPECT_EQ(areas[1].page_size, hw::PageSize::k4K);  // too small
 }
 
 TEST(LinuxMm, HugeTlbFsBackingChargedAndReleased) {

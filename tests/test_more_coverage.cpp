@@ -174,7 +174,7 @@ TEST(LinuxMm, ProcessPreferenceSelectsHugeTlbFsPages) {
   node.sim.run_until(50_ms);
   const auto& areas = node.kernel->process(pid).address_space.areas();
   ASSERT_EQ(areas.size(), 1u);
-  EXPECT_EQ(areas.begin()->second.page_size, hw::PageSize::k2M);
+  EXPECT_EQ(areas.front().page_size, hw::PageSize::k2M);
   EXPECT_EQ(node.kernel->hugetlbfs().surplus_in_use(), 4u);
 }
 

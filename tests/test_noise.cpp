@@ -57,10 +57,10 @@ TEST(Metrics, NoiseRateSkippingZeroTermsIsBitIdentical) {
   std::mt19937_64 rng(2021);
   for (int trial = 0; trial < 20; ++trial) {
     const SimTime t_min = SimTime::ns(6'500'000 + trial * 997);
-    std::vector<FwqTrace> traces(1 + trial % 4);
-    for (FwqTrace& tr : traces) {
-      tr.iteration_times.resize(500 + 37 * static_cast<std::size_t>(trial));
-      for (SimTime& t : tr.iteration_times) {
+    std::vector<std::vector<SimTime>> series(1 + trial % 4);
+    for (std::vector<SimTime>& ts : series) {
+      ts.resize(500 + 37 * static_cast<std::size_t>(trial));
+      for (SimTime& t : ts) {
         // One iteration in ~16 sees noise; the rest are exactly T_min.
         t = rng() % 16 == 0
                 ? t_min + SimTime::ns(static_cast<std::int64_t>(
@@ -68,13 +68,18 @@ TEST(Metrics, NoiseRateSkippingZeroTermsIsBitIdentical) {
                 : t_min;
       }
     }
-    traces.front().iteration_times.front() = t_min;
+    series.front().front() = t_min;
+    std::vector<FwqTrace> traces;
+    for (const std::vector<SimTime>& ts : series) {
+      FwqTrace& tr = traces.emplace_back(0, t_min);
+      for (SimTime t : ts) tr.record(t);
+    }
 
     double sum = 0.0;
     std::uint64_t n = 0;
     const double tmin_ns = static_cast<double>(t_min.count_ns());
-    for (const FwqTrace& tr : traces) {
-      for (SimTime t : tr.iteration_times) {
+    for (const std::vector<SimTime>& ts : series) {
+      for (SimTime t : ts) {
         sum += static_cast<double>((t - t_min).count_ns()) / tmin_ns;
         ++n;
       }
@@ -280,9 +285,9 @@ TEST(Fwq, RecordsConfiguredIterations) {
   const auto traces =
       noise::run_fwq(*node.lwk, test::one_core(node.topo, 2), cfg);
   ASSERT_EQ(traces.size(), 1u);
-  EXPECT_EQ(traces[0].core, 2);
-  EXPECT_EQ(traces[0].iteration_times.size(), 50u);
-  for (const SimTime t : traces[0].iteration_times) EXPECT_EQ(t, 1_ms);
+  EXPECT_EQ(traces[0].core(), 2);
+  EXPECT_EQ(traces[0].size(), 50u);
+  for (const SimTime t : traces[0].times()) EXPECT_EQ(t, 1_ms);
 }
 
 TEST(Fwq, DesAndAnalyticAgreeOnPerCoreSource) {
