@@ -1,15 +1,18 @@
 // Ablation — system-call locality on the multi-kernel (§5, §5.1).
 //
 // On a full multi-kernel node DES (Linux + IHK + McKernel + proxy), times
-// three classes of call and reports the simulated round-trip as a counter:
+// three classes of call and prints the mean simulated round trip:
 //   local       — a call McKernel implements itself (gettimeofday)
 //   offloaded   — a delegated call (stat) through IKC + proxy
-//   pico        — Tofu STAG registration with the PicoDriver vs offloaded
+//   STAG        — Tofu STAG registration, offloaded vs the PicoDriver
 // This quantifies the design choice the PicoDriver exists for: the offload
 // path costs microseconds per call, intolerable inside registration loops.
-#include <benchmark/benchmark.h>
+// Full mode issues 100 calls per class (50 per STAG path); quick mode 20
+// and 10.
+#include <iostream>
 
 #include "cluster/node.h"
+#include "common/table.h"
 #include "mckernel/offload.h"
 #include "obs/bench_report.h"
 
@@ -61,79 +64,38 @@ double measure_syscall(os::Syscall no, os::SyscallArgs args, bool picodriver,
   return c->elapsed.to_us() / count;
 }
 
-void BM_LocalSyscall(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = measure_syscall(os::Syscall::kGetTimeOfDay, {}, false, 100);
-  }
-  state.counters["sim_roundtrip_us"] = us;
-}
-
-void BM_OffloadedSyscall(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = measure_syscall(os::Syscall::kStat, {}, false, 100);
-  }
-  state.counters["sim_roundtrip_us"] = us;
-}
-
-void BM_StagRegistrationOffloaded(benchmark::State& state) {
-  const os::SyscallArgs reg{.arg0 = 0, .arg1 = 64ull << 20,
-                            .arg2 = mck::kTofuRegisterStag};
-  double us = 0;
-  for (auto _ : state) {
-    us = measure_syscall(os::Syscall::kIoctl, reg, false, 50);
-  }
-  state.counters["sim_roundtrip_us"] = us;
-}
-
-void BM_StagRegistrationPicoDriver(benchmark::State& state) {
-  const os::SyscallArgs reg{.arg0 = 0, .arg1 = 64ull << 20,
-                            .arg2 = mck::kTofuRegisterStag};
-  double us = 0;
-  for (auto _ : state) {
-    us = measure_syscall(os::Syscall::kIoctl, reg, true, 50);
-  }
-  state.counters["sim_roundtrip_us"] = us;
-}
-
-BENCHMARK(BM_LocalSyscall)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_OffloadedSyscall)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StagRegistrationOffloaded)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StagRegistrationPicoDriver)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-// With `--json`/`--quick` the measurement cores run directly (one pass,
-// simulated time only) and a BenchReport is emitted; otherwise the
-// remaining argv goes to google-benchmark as usual.
 int main(int argc, char** argv) {
-  const auto opts = hpcos::obs::parse_bench_options(argc, argv);
-  if (!opts.sinks.json_path.empty() || opts.quick) {
-    hpcos::obs::BenchReport report("bench_ablation_offload", opts.quick, 11);
-    const int count = opts.quick ? 20 : 100;
-    const hpcos::os::SyscallArgs reg{
-        .arg0 = 0, .arg1 = 64ull << 20, .arg2 = hpcos::mck::kTofuRegisterStag};
-    report.add_metric(
-        "local.sim_roundtrip_us", "us",
-        measure_syscall(hpcos::os::Syscall::kGetTimeOfDay, {}, false, count));
-    report.add_metric(
-        "offloaded.sim_roundtrip_us", "us",
-        measure_syscall(hpcos::os::Syscall::kStat, {}, false, count));
-    report.add_metric(
-        "stag_offloaded.sim_roundtrip_us", "us",
-        measure_syscall(hpcos::os::Syscall::kIoctl, reg, false, count / 2));
-    report.add_metric(
-        "stag_picodriver.sim_roundtrip_us", "us",
-        measure_syscall(hpcos::os::Syscall::kIoctl, reg, true, count / 2));
-    hpcos::obs::maybe_write_report(report, opts);
-    return 0;
+  const auto opts = obs::parse_bench_target_options(argc, argv);
+  obs::BenchReport report("bench_ablation_offload", opts.quick, 11);
+  const int count = opts.quick ? 20 : 100;
+  const os::SyscallArgs reg{.arg0 = 0, .arg1 = 64ull << 20,
+                            .arg2 = mck::kTofuRegisterStag};
+  const struct {
+    const char* name;
+    const char* slug;
+    os::Syscall no;
+    os::SyscallArgs args;
+    bool picodriver;
+    int calls;
+  } paths[] = {
+      {"local (gettimeofday)", "local", os::Syscall::kGetTimeOfDay, {}, false,
+       count},
+      {"offloaded (stat)", "offloaded", os::Syscall::kStat, {}, false, count},
+      {"STAG registration, offloaded", "stag_offloaded", os::Syscall::kIoctl,
+       reg, false, count / 2},
+      {"STAG registration, PicoDriver", "stag_picodriver",
+       os::Syscall::kIoctl, reg, true, count / 2},
+  };
+  TextTable table({"call", "calls", "sim round trip (us)"});
+  for (const auto& p : paths) {
+    const double us = measure_syscall(p.no, p.args, p.picodriver, p.calls);
+    table.add_row({p.name, TextTable::fmt_int(p.calls), TextTable::fmt(us, 2)});
+    report.add_metric(std::string(p.slug) + ".sim_roundtrip_us", "us", us);
   }
-  int bargc = static_cast<int>(opts.remaining.size());
-  std::vector<char*> bargv = opts.remaining;
-  benchmark::Initialize(&bargc, bargv.data());
-  if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  print_banner(std::cout, "Ablation: system-call locality on McKernel");
+  table.print(std::cout);
+  obs::maybe_write_report(report, opts);
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace hpcos;
   using noise::NoiseGroup;
 
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_fig1_noise_model", opts.quick);
 
   print_banner(std::cout, "Equation 1: BSP noise delay model (Section 2)");

@@ -93,7 +93,7 @@ noise::NoiseStats run_config(const std::string& label,
 
 int main(int argc, char** argv) {
   using CM = noise::Countermeasures;
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_fig3_fwq_timeseries", opts.quick, 7);
   // ~195 s per core in the full run; the smoke run keeps the same three
   // configurations over a short series.

@@ -57,7 +57,7 @@ bool identical_results(const cluster::FwqCampaignResult& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_fig4_fwq_cdf", opts.quick, 20211115);
   // Smoke mode shrinks the populations and the per-core wall time; the
   // configurations, the parallelism check, and the registry parity check

@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace hpcos;
 
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_fig6_apps_ofp", opts.quick, 20211114);
 
   const auto linux_env = cluster::make_ofp_linux_env();

@@ -67,7 +67,7 @@ noise::NoiseStats measure(os::NodeKernel& app_kernel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_isolation", opts.quick, 1);
   const std::uint64_t iterations = opts.quick ? 500 : 5000;
   const auto platform = hw::make_fugaku_testbed_platform();

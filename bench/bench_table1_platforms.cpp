@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace hpcos;
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_table1_platforms", opts.quick);
   const auto ofp = hw::make_ofp_platform();
   const auto fugaku = hw::make_fugaku_platform();

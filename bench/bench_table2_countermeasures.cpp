@@ -61,7 +61,7 @@ noise::NoiseStats measure(const noise::Countermeasures& cm, Seed seed,
 
 int main(int argc, char** argv) {
   using CM = noise::Countermeasures;
-  const auto opts = obs::parse_bench_options(argc, argv);
+  const auto opts = obs::parse_bench_target_options(argc, argv);
   obs::BenchReport report("bench_table2_countermeasures", opts.quick, 42);
   const std::vector<Row> rows = {
       {"None", "none", CM{}, 50.44, 3.79e-6},

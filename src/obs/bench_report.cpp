@@ -214,9 +214,7 @@ std::string argv0_basename(int argc, char** argv) {
   return name.empty() ? "bench" : name;
 }
 
-}  // namespace
-
-BenchOptions parse_bench_options(int argc, char** argv) {
+BenchOptions parse_flags(int argc, char** argv) {
   BenchOptions opts;
   if (argc > 0) opts.remaining.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -270,6 +268,10 @@ BenchOptions parse_bench_options(int argc, char** argv) {
   if (opts.sinks.watchdog_abort && opts.sinks.watchdog_stall_s <= 0.0) {
     opts.sinks.watchdog_stall_s = kDefaultWatchdogS;
   }
+  return opts;
+}
+
+void arm_sinks(BenchOptions& opts, int argc, char** argv) {
   // Arm the sinks here so every bench target honors the flags without
   // per-target plumbing; the scopes/counters are already in the code.
   if (opts.sinks.profile) prof::set_enabled(true);
@@ -288,6 +290,27 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     cfg.abort_on_stall = opts.sinks.watchdog_abort;
     live::start_global_meter(std::move(cfg));
   }
+}
+
+}  // namespace
+
+BenchOptions parse_bench_options(int argc, char** argv) {
+  BenchOptions opts = parse_flags(argc, argv);
+  arm_sinks(opts, argc, argv);
+  return opts;
+}
+
+BenchOptions parse_bench_target_options(int argc, char** argv) {
+  BenchOptions opts = parse_flags(argc, argv);
+  if (opts.remaining.size() > 1) {
+    std::cerr << "unknown argument: " << opts.remaining[1] << "\n"
+              << "usage: " << argv0_basename(argc, argv)
+              << " [--quick] [--json <path>] [--profile] [--ledger <path>]"
+                 " [--progress[=ms]] [--progress-file <path>]"
+                 " [--watchdog[=s]] [--watchdog-abort]\n";
+    std::exit(2);
+  }
+  arm_sinks(opts, argc, argv);
   return opts;
 }
 

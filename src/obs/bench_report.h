@@ -141,9 +141,8 @@ struct BenchSinks {
 //   --watchdog[=s]/--watchdog-abort   -> see BenchSinks
 // All sinks are handled entirely in parse_bench_options (arming) and
 // maybe_write_report (draining), so every bench target and analysis CLI
-// gets them with zero per-target plumbing. Unknown arguments are left
-// for the target to interpret (the google-benchmark ablations forward
-// the remainder to benchmark::Initialize).
+// gets them with zero per-target plumbing. Unknown arguments are left in
+// `remaining` for the analysis tools' own flags (tools/cli_util.h).
 struct BenchOptions {
   bool quick = false;
   BenchSinks sinks;
@@ -151,6 +150,11 @@ struct BenchOptions {
   std::vector<char*> remaining;
 };
 BenchOptions parse_bench_options(int argc, char** argv);
+
+// parse_bench_options for the bench targets, which take no other
+// argument: a leftover one (a typo such as --qiuck) prints it and the
+// usage line on stderr and exits 2, before any sink is armed.
+BenchOptions parse_bench_target_options(int argc, char** argv);
 
 // Drain the sinks: stop the progress meter (folding host.progress.* /
 // host.watchdog.* aggregates into the report), append the profiler

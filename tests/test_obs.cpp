@@ -324,6 +324,22 @@ TEST(BenchReport, ParseBenchOptionsExtractsFlags) {
   EXPECT_STREQ(opts.remaining[1], "--benchmark_filter=x");
 }
 
+TEST(BenchReport, BenchTargetOptionsRejectLeftoverArguments) {
+  // A bench target takes no argument beyond the shared flags, so a typo
+  // exits 2 with the usage line instead of silently running full mode.
+  const char* typo_in[] = {"/some/dir/bench_x", "--quick", "--qiuck"};
+  EXPECT_EXIT(obs::parse_bench_target_options(3, const_cast<char**>(typo_in)),
+              ::testing::ExitedWithCode(2),
+              "unknown argument: --qiuck\nusage: bench_x \\[--quick\\]");
+  const char* ok_in[] = {"bench_x", "--quick", "--json", "out.json"};
+  const auto opts =
+      obs::parse_bench_target_options(4, const_cast<char**>(ok_in));
+  EXPECT_TRUE(opts.quick);
+  EXPECT_EQ(opts.sinks.json_path, "out.json");
+  ASSERT_EQ(opts.remaining.size(), 1u);
+  EXPECT_STREQ(opts.remaining[0], "bench_x");
+}
+
 TEST(BenchReport, ParseBenchOptionsArmsProgressAndWatchdogSinks) {
   // --progress=<ms> plus an explicit stream path: the meter starts at
   // parse time; draining it through maybe_write_report folds the
