@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "hw/cache.h"
 #include "hw/hwbarrier.h"
 #include "hw/memory.h"
 #include "hw/pmu.h"
@@ -49,7 +48,6 @@ struct PlatformConfig {
 
   NodeTopology topology;
   TlbParams tlb;
-  CacheParams cache;
   NodeMemory memory;
   HwBarrierParams hw_barrier;
   PmuParams pmu;

@@ -3,52 +3,50 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 namespace hpcos::obs::prof {
-namespace {
 
-constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
+// One distinct scope path on one thread. The structure is fixed at
+// creation except for the child links, which only the owning thread
+// reads or writes; the counters are stored only by the owning thread
+// and loaded by collect().
+struct ContextNode {
+  ContextNode(ScopeId scope, ContextNode* up, std::size_t pos)
+      : id(scope), parent(up), index(pos) {}
 
-struct Event {
-  ScopeId id = 0;
-  std::uint32_t depth = 0;  // nesting depth at entry, per thread
-  std::int64_t start_ns = 0;
-  std::int64_t end_ns = 0;
+  const ScopeId id;
+  ContextNode* const parent;  // null at the thread's root
+  const std::size_t index;    // position in Tree::nodes
+  ContextNode* first_child = nullptr;
+  ContextNode* next_sibling = nullptr;
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<std::int64_t> total_ns{0};
 };
 
-// Single-writer ring with a release-published size. The owner thread
-// appends; collect() acquire-loads size_ and reads the prefix, which the
-// release store ordered after the event payload write.
-struct ThreadBuffer {
-  explicit ThreadBuffer(std::size_t capacity) : events(capacity) {}
+namespace {
 
-  void record(const Event& e) {
-    const std::size_t n = size.load(std::memory_order_relaxed);
-    if (n >= events.size()) {
-      dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    events[n] = e;
-    size.store(n + 1, std::memory_order_release);
-  }
+// A thread's calling-context tree. nodes[0] is the root, which no scope
+// owns; every other node is created after its parent, so a parent's
+// index is always below its children's.
+struct Tree {
+  Tree() { nodes.emplace_back(ScopeId{0}, nullptr, 0); }
 
-  std::vector<Event> events;
-  std::atomic<std::size_t> size{0};
-  std::atomic<std::uint64_t> dropped{0};
+  std::mutex mutex;               // node creation vs. collect() / reset()
+  std::deque<ContextNode> nodes;  // emplace_back never moves a node
 };
 
 // Immortal global state (leaked on purpose: scheduler worker threads may
 // record during static destruction of the main thread's objects).
 struct State {
   std::mutex mutex;
-  std::vector<std::string> names;                     // ScopeId -> name
-  std::unordered_map<std::string, ScopeId> ids;       // name -> ScopeId
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers;  // registration order
-  std::size_t capacity = kDefaultCapacity;
+  std::vector<std::string> names;                // ScopeId -> name
+  std::unordered_map<std::string, ScopeId> ids;  // name -> ScopeId
+  std::vector<std::unique_ptr<Tree>> trees;      // registration order
   std::atomic<bool> enabled{false};
 };
 
@@ -57,29 +55,38 @@ State& state() {
   return *s;
 }
 
-thread_local ThreadBuffer* tl_buffer = nullptr;
-thread_local std::uint32_t tl_depth = 0;
+thread_local Tree* tl_tree = nullptr;
+thread_local ContextNode* tl_cursor = nullptr;
 
-ThreadBuffer& thread_buffer() {
-  if (tl_buffer == nullptr) {
+// Move the calling thread's cursor to the child of the current node for
+// `id`, registering the thread's tree and creating the node on first use.
+ContextNode* enter(ScopeId id) {
+  if (tl_cursor == nullptr) {
     State& s = state();
     std::lock_guard<std::mutex> lock(s.mutex);
-    s.buffers.push_back(std::make_unique<ThreadBuffer>(s.capacity));
-    tl_buffer = s.buffers.back().get();
+    s.trees.push_back(std::make_unique<Tree>());
+    tl_tree = s.trees.back().get();
+    tl_cursor = &tl_tree->nodes.front();
   }
-  return *tl_buffer;
+  ContextNode* const parent = tl_cursor;
+  ContextNode* child = parent->first_child;
+  while (child != nullptr && child->id != id) child = child->next_sibling;
+  if (child == nullptr) {
+    std::lock_guard<std::mutex> lock(tl_tree->mutex);
+    child = &tl_tree->nodes.emplace_back(id, parent, tl_tree->nodes.size());
+    child->next_sibling = parent->first_child;
+    parent->first_child = child;
+  }
+  tl_cursor = child;
+  return child;
 }
 
-// Per-buffer reconstruction node. Events are recorded at scope *exit*, so
-// a buffer is a postorder stream: every child precedes its parent, and
-// any pending event deeper than the current one belongs to its subtree
-// (an intervening same-depth parent would already have consumed it).
-struct Node {
-  ScopeId id = 0;
-  std::int64_t total = 0;
-  std::int64_t self = 0;
-  std::ptrdiff_t parent = -1;
-};
+// Single-writer accumulate: a relaxed load and store, no RMW.
+template <typename T>
+void add(std::atomic<T>& counter, T value) {
+  counter.store(counter.load(std::memory_order_relaxed) + value,
+                std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -106,18 +113,15 @@ void set_enabled(bool on) {
   state().enabled.store(on, std::memory_order_relaxed);
 }
 
-void set_thread_buffer_capacity(std::size_t events) {
-  State& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.capacity = std::max<std::size_t>(events, 16);
-}
-
 void reset() {
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-  for (auto& b : s.buffers) {
-    b->size.store(0, std::memory_order_relaxed);
-    b->dropped.store(0, std::memory_order_relaxed);
+  for (const auto& tree : s.trees) {
+    std::lock_guard<std::mutex> tree_lock(tree->mutex);
+    for (ContextNode& node : tree->nodes) {
+      node.count.store(0, std::memory_order_relaxed);
+      node.total_ns.store(0, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -130,17 +134,16 @@ std::int64_t now_ns() {
 
 ScopedTimer::ScopedTimer(ScopeId id) {
   if (!enabled()) return;
-  armed_ = true;
-  id_ = id;
-  ++tl_depth;
+  node_ = enter(id);
   start_ = now_ns();
 }
 
 ScopedTimer::~ScopedTimer() {
-  if (!armed_) return;
-  const std::int64_t end = now_ns();
-  --tl_depth;
-  thread_buffer().record(Event{id_, tl_depth, start_, end});
+  if (node_ == nullptr) return;
+  const std::int64_t elapsed = now_ns() - start_;
+  add<std::uint64_t>(node_->count, 1);
+  add(node_->total_ns, elapsed);
+  tl_cursor = node_->parent;
 }
 
 const ScopeStat* Profile::find(const std::string& name) const {
@@ -170,85 +173,59 @@ std::string Profile::folded_text() const {
 Profile collect() {
   State& s = state();
   std::lock_guard<std::mutex> lock(s.mutex);
-
-  struct NameStat {
-    std::uint64_t count = 0;
-    std::int64_t total = 0;
-    std::int64_t self = 0;
+  auto name_of = [&s](ScopeId id) {
+    return id < s.names.size() ? s.names[id] : std::string("<unknown>");
   };
+
   // Name- and path-keyed maps: aggregation order does not affect integer
   // sums, and sorted keys make the output deterministic.
-  std::map<std::string, NameStat> by_name;
+  std::map<std::string, ScopeStat> by_name;
   std::map<std::string, std::int64_t> folded;
 
   Profile profile;
-  for (const auto& buf : s.buffers) {
-    const std::size_t n = buf->size.load(std::memory_order_acquire);
-    profile.dropped += buf->dropped.load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    ++profile.threads;
-    profile.events += n;
-
-    // Rebuild the scope forest from the postorder stream.
-    std::vector<Node> nodes(n);
-    std::vector<std::uint32_t> depth(n);
-    std::vector<std::size_t> pending;  // indices awaiting a parent
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event& e = buf->events[i];
-      nodes[i].id = e.id;
-      nodes[i].total = e.end_ns - e.start_ns;
-      depth[i] = e.depth;
-      std::int64_t child_total = 0;
-      while (!pending.empty() && depth[pending.back()] > e.depth) {
-        const std::size_t c = pending.back();
-        pending.pop_back();
-        nodes[c].parent = static_cast<std::ptrdiff_t>(i);
-        child_total += nodes[c].total;
-      }
-      nodes[i].self = std::max<std::int64_t>(nodes[i].total - child_total, 0);
-      pending.push_back(i);
+  for (const auto& tree : s.trees) {
+    std::lock_guard<std::mutex> tree_lock(tree->mutex);
+    const std::size_t n = tree->nodes.size();
+    std::vector<std::uint64_t> count(n);
+    std::vector<std::int64_t> total(n);
+    std::vector<std::int64_t> self(n);  // total − Σ child totals
+    for (std::size_t i = 1; i < n; ++i) {
+      const ContextNode& node = tree->nodes[i];
+      count[i] = node.count.load(std::memory_order_relaxed);
+      total[i] = node.total_ns.load(std::memory_order_relaxed);
+      self[i] += total[i];
+      self[node.parent->index] -= total[i];
     }
-    for (const std::size_t r : pending) profile.root_total_ns += nodes[r].total;
 
-    // Paths, memoized child-to-parent (parents appear after children in
-    // the stream, so walk the chain on demand and cache).
+    // Parents precede children, so one forward pass builds every path.
     std::vector<std::string> paths(n);
-    std::vector<bool> have_path(n, false);
-    auto path_of = [&](std::size_t i, auto&& self_fn) -> const std::string& {
-      if (!have_path[i]) {
-        const std::string name = i < n && nodes[i].id < s.names.size()
-                                     ? s.names[nodes[i].id]
-                                     : std::string("<unknown>");
-        std::string clean = name;
-        std::replace(clean.begin(), clean.end(), ';', ':');
-        if (nodes[i].parent < 0) {
-          paths[i] = clean;
-        } else {
-          paths[i] =
-              self_fn(static_cast<std::size_t>(nodes[i].parent), self_fn) +
-              ";" + clean;
-        }
-        have_path[i] = true;
-      }
-      return paths[i];
-    };
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::string& name =
-          nodes[i].id < s.names.size() ? s.names[nodes[i].id]
-                                       : std::string("<unknown>");
-      NameStat& stat = by_name[name];
-      ++stat.count;
-      stat.total += nodes[i].total;
-      stat.self += nodes[i].self;
-      if (nodes[i].self > 0) folded[path_of(i, path_of)] += nodes[i].self;
+    std::uint64_t events = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+      const ContextNode& node = tree->nodes[i];
+      std::string name = name_of(node.id);
+      std::string clean = name;
+      std::replace(clean.begin(), clean.end(), ';', ':');
+      paths[i] = node.parent->index == 0
+                     ? clean
+                     : paths[node.parent->index] + ";" + clean;
+      if (count[i] == 0) continue;
+      events += count[i];
+      if (node.parent->index == 0) profile.root_total_ns += total[i];
+      const std::int64_t node_self = std::max<std::int64_t>(self[i], 0);
+      ScopeStat& stat = by_name[name];
+      stat.count += count[i];
+      stat.total_ns += total[i];
+      stat.self_ns += node_self;
+      if (node_self > 0) folded[paths[i]] += node_self;
     }
+    if (events > 0) ++profile.threads;
+    profile.events += events;
   }
 
   profile.scopes.reserve(by_name.size());
-  for (const auto& [name, stat] : by_name) {
-    profile.scopes.push_back(
-        ScopeStat{name, stat.count, stat.total, stat.self});
+  for (auto& [name, stat] : by_name) {
+    stat.name = name;
+    profile.scopes.push_back(std::move(stat));
   }
   std::sort(profile.scopes.begin(), profile.scopes.end(),
             [](const ScopeStat& a, const ScopeStat& b) {

@@ -9,25 +9,32 @@
 //
 // Design (mirrors the Registry's hot-path cost rules):
 //   * PROF_SCOPE("des.event.fire") opens a steady_clock-timed scope. A
-//     site compiles to one branch when profiling is disabled (the armed
-//     check), and two clock reads plus one ring-buffer append when it is
-//     enabled. No locks on the hot path.
-//   * Each thread writes completed scopes into its own pre-sized ring
-//     buffer (registered once per thread under a mutex, written
-//     single-writer afterwards). The only cross-thread handshake is a
-//     release-store of the buffer's size, acquire-loaded by collect() —
-//     ThreadSanitizer-clean by construction.
-//   * collect() merges every thread's buffer into one Profile: a ranked
+//     site compiles to one relaxed load and one branch when profiling is
+//     disabled; enabled, it is two clock reads, a walk over the current
+//     node's children, and two relaxed counter stores. No lock and no
+//     atomic read-modify-write on the hot path.
+//   * Each thread accumulates into its own calling-context tree: one node
+//     per distinct scope path, holding (scope id, parent, children, count,
+//     total ns). Entering a scope moves the thread's cursor to the child
+//     node for that id, creating it on first use; leaving adds 1 to the
+//     node's count and the duration to its total, then moves the cursor
+//     back to the parent. Memory is O(distinct paths) whatever the run
+//     length, so every scope is counted and nothing is ever dropped.
+//   * Only the owning thread writes a tree. Its counters are relaxed
+//     atomics; node creation takes the tree's mutex, which collect() also
+//     holds while it reads the tree, and a node never moves once created.
+//     So collect() may run while other threads record (the stall watchdog
+//     does). Such a snapshot reads each counter atomically but not all of
+//     them at one instant: a scope still open has not added its duration
+//     yet, so its self time can read negative and is clamped to 0.
+//   * collect() merges every thread's tree into one Profile: a ranked
 //     self/total-time hotspot table keyed by scope *name* (scope fire
 //     counts are a pure function of the simulated work, so the merged
 //     counts are bit-identical across host thread counts — the
 //     determinism contract the tests pin) and a folded-stack view keyed
 //     by the host call path (input format of flamegraph.pl/speedscope,
-//     validated by sim::validate_folded_stack).
-//   * Buffers never wrap: a full buffer drops new scopes and counts the
-//     drops, because silently overwriting parents would corrupt the
-//     nesting reconstruction. Size the buffer for the measurement window
-//     (set_thread_buffer_capacity) and reset() between windows.
+//     validated by sim::validate_folded_stack). With every thread
+//     quiesced, sum(self) equals the summed root durations exactly.
 //
 // Scope naming follows the repo-wide counter rule:
 //   <subsystem>.<object>[.<detail>]  e.g. des.fire.linux.tick, fwq.shard.
@@ -51,21 +58,19 @@ std::string scope_name(ScopeId id);
 bool enabled();
 void set_enabled(bool on);
 
-// Ring capacity, in scope events, for per-thread buffers created after
-// this call (existing buffers keep their size). Default 1<<16 (~2 MiB per
-// participating thread).
-void set_thread_buffer_capacity(std::size_t events);
-
-// Clear every thread's buffer and drop counters. Callers must quiesce
-// first: no PROF_SCOPE may be open on any thread (between parallel_for
-// regions the scheduler's workers are parked, which is the intended
-// reset point).
+// Zero every thread's counters. Tree nodes stay (so each thread's cursor
+// stays valid); collect() skips paths that have not fired since. Callers
+// must quiesce first: no PROF_SCOPE may be open on any thread (between
+// parallel_for regions the scheduler's workers are parked, which is the
+// intended reset point).
 void reset();
 
 // Nanoseconds on the process-local steady clock (epoch = first call).
 // The profiler's own timestamps, exposed so other host-side telemetry
 // (scheduler park timelines, DES handler attribution) shares one clock.
 std::int64_t now_ns();
+
+struct ContextNode;  // one calling-context-tree node (prof.cpp)
 
 class ScopedTimer {
  public:
@@ -74,15 +79,13 @@ class ScopedTimer {
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
-  // Whether this instance is recording (profiler was enabled at entry).
-  bool armed() const { return armed_; }
-  // Entry timestamp (now_ns clock); 0 when not armed.
+  // Entry timestamp (now_ns clock); 0 when the profiler was disabled at
+  // entry.
   std::int64_t start_ns() const { return start_; }
 
  private:
-  ScopeId id_ = 0;
+  ContextNode* node_ = nullptr;  // null when not recording
   std::int64_t start_ = 0;
-  bool armed_ = false;
 };
 
 #define HPCOS_PROF_CONCAT2(a, b) a##b
@@ -114,12 +117,12 @@ struct Profile {
   // Folded-stack aggregation: host call path ("a;b;c") -> summed self
   // ns, path-sorted (deterministic, diffable). Zero-self paths omitted.
   std::vector<std::pair<std::string, std::int64_t>> folded;
-  std::uint64_t threads = 0;  // thread buffers merged
-  std::uint64_t events = 0;   // scope events merged
-  std::uint64_t dropped = 0;  // scope events lost to full buffers
-  // Sum of root-scope durations. By construction sum_self_ns() equals
-  // this exactly, so checking it against a wall-clock measurement of the
-  // profiled region validates the whole accounting chain.
+  std::uint64_t threads = 0;  // threads that recorded a scope
+  std::uint64_t events = 0;   // scope instances recorded
+  // Sum of root-scope durations. With every thread quiesced,
+  // sum_self_ns() equals this exactly, so checking it against a
+  // wall-clock measurement of the profiled region validates the whole
+  // accounting chain.
   std::int64_t root_total_ns = 0;
 
   const ScopeStat* find(const std::string& name) const;
@@ -129,8 +132,8 @@ struct Profile {
   std::string folded_text() const;
 };
 
-// Merge every registered thread buffer (snapshot; buffers keep their
-// contents until reset()).
+// Merge every thread's tree (a snapshot; counters keep accumulating
+// until reset()).
 Profile collect();
 
 }  // namespace hpcos::obs::prof

@@ -26,8 +26,6 @@ void add_profile_metrics(BenchReport& report, const prof::Profile& profile) {
                     static_cast<double>(profile.events));
   report.add_metric("host.prof.threads", "count",
                     static_cast<double>(profile.threads));
-  report.add_metric("host.prof.dropped", "count",
-                    static_cast<double>(profile.dropped));
   report.add_metric("host.prof.root_total_us", "us",
                     to_us(profile.root_total_ns));
 }
@@ -37,7 +35,6 @@ void fold_profile_registry(Registry& registry, const prof::Profile& profile) {
     registry.counter("prof." + s.name + ".count")->add(s.count);
   }
   registry.counter("prof.events")->add(profile.events);
-  registry.counter("prof.dropped")->add(profile.dropped);
 }
 
 void add_memory_metrics(BenchReport& report) {
@@ -77,8 +74,7 @@ void print_profile(std::ostream& out, const prof::Profile& profile,
   }
   table.print(out);
   out << "scopes: " << profile.scopes.size() << "  events: " << profile.events
-      << "  threads: " << profile.threads << "  dropped: " << profile.dropped
-      << "  root total: "
+      << "  threads: " << profile.threads << "  root total: "
       << TextTable::fmt(static_cast<double>(profile.root_total_ns) / 1e6, 3)
       << " ms\n";
 }

@@ -23,11 +23,11 @@ namespace hpcos::obs {
 //   prof.<scope>.count            count  (deterministic, gated)
 //   host.prof.<scope>.self_us     us     (ignored by the gate)
 //   host.prof.<scope>.total_us    us
-//   host.prof.events / .threads / .dropped / .root_total_us
+//   host.prof.events / .threads / .root_total_us
 void add_profile_metrics(BenchReport& report, const prof::Profile& profile);
 
 // Fold scope fire counts (prof.<scope>.count) plus the merge summary
-// (prof.events, prof.dropped) into a Registry, giving the profiler's
+// (prof.events) into a Registry, giving the profiler's
 // deterministic face the same OpenMetrics round trip every other counter
 // has.
 void fold_profile_registry(Registry& registry, const prof::Profile& profile);

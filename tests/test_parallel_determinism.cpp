@@ -12,8 +12,11 @@
 //   cmake -B build-tsan -DHPCOS_SANITIZE=thread && ctest -L parallel
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "cluster/bsp.h"
 #include "cluster/config_json.h"
@@ -362,13 +365,14 @@ TEST(ParallelDeterminism, NestedRelativePerformanceIdenticalAcrossThreads) {
 }
 
 TEST(ParallelDeterminism, ProfilerCountsIdenticalUnderNestedParallelFor) {
-  // The profiler's per-thread ring buffers written from inside a nested
-  // parallel_for — concurrent single-writer appends plus the release/
-  // acquire size handshake collect() reads. This is the surface the
-  // ThreadSanitizer job must watch (ctest -L parallel under
+  // The profiler's per-thread calling-context trees written from inside
+  // a nested parallel_for: every worker creates its own nodes and stores
+  // its own counters, and collect() merges the trees afterwards. This is
+  // a surface the ThreadSanitizer job must watch (ctest -L parallel under
   // -DHPCOS_SANITIZE=thread), and the count half of the determinism
   // contract: merged scope counts are bit-identical for any host thread
-  // count; times are host-dependent and not compared.
+  // count, whichever worker ran which scope under which parent; times
+  // are host-dependent and not compared.
   auto run = [](std::size_t threads) {
     obs::prof::reset();
     obs::prof::set_enabled(true);
@@ -398,6 +402,64 @@ TEST(ParallelDeterminism, ProfilerCountsIdenticalUnderNestedParallelFor) {
   ASSERT_EQ(serial.at("det.inner"), 96u);
   EXPECT_EQ(run(2), serial);
   EXPECT_EQ(run(8), serial);
+  obs::prof::reset();
+}
+
+TEST(ParallelDeterminism, ProfilerCollectWhileRecording) {
+  // collect() racing the recorders, as the stall watchdog (obs/live)
+  // does: a second thread snapshots in a loop while parallel_for workers
+  // create tree nodes and store counters. Under ThreadSanitizer this must
+  // be report-free; a snapshot never reads more than was recorded, and
+  // once the workers are quiesced the counts and the self-time identity
+  // are exact.
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> snapshots{0};
+  std::uint64_t max_seen_inner = 0;
+  std::thread reader([&] {
+    do {
+      for (const auto& s : obs::prof::collect().scopes) {
+        if (s.name == "det.snap.inner") {
+          max_seen_inner = std::max(max_seen_inner, s.count);
+        }
+      }
+      snapshots.fetch_add(1, std::memory_order_release);
+    } while (!done.load(std::memory_order_acquire));
+  });
+  while (snapshots.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  parallel_for(
+      32,
+      [&](std::size_t i) {
+        PROF_SCOPE("det.snap.outer");
+        for (std::size_t k = 0; k < 300; ++k) {
+          PROF_SCOPE("det.snap.inner");
+          // A path per branch, so workers keep creating nodes while the
+          // reader walks their trees.
+          if ((i + k) % 3 == 0) {
+            PROF_SCOPE("det.snap.leaf.a");
+          } else if ((i + k) % 3 == 1) {
+            PROF_SCOPE("det.snap.leaf.b");
+          }
+        }
+      },
+      4);
+  done.store(true, std::memory_order_release);
+  reader.join();
+  obs::prof::set_enabled(false);
+
+  const obs::prof::Profile p = obs::prof::collect();
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& s : p.scopes) counts[s.name] = s.count;
+  EXPECT_GE(snapshots.load(), 1u);
+  EXPECT_EQ(counts.at("det.snap.outer"), 32u);
+  EXPECT_EQ(counts.at("det.snap.inner"), 32u * 300u);
+  EXPECT_EQ(counts.at("det.snap.leaf.a"), 3200u);
+  EXPECT_EQ(counts.at("det.snap.leaf.b"), 3200u);
+  EXPECT_LE(max_seen_inner, counts.at("det.snap.inner"));
+  EXPECT_EQ(p.sum_self_ns(), p.root_total_ns);
   obs::prof::reset();
 }
 
